@@ -25,7 +25,7 @@ q = TransitionMatrix([[0.0, 1.0], [0.0, 1.0]])
 occupancy = simulate_chain(q, 0, law, grid, n_paths, 17)
 print(f"{'t':>6} {'analytic':>10} {'simulated':>10}")
 for k, t in enumerate(grid):
-    p = semi_markov_marginal(q, 0, 0, law, float(t), tol=1e-10)
+    p = semi_markov_marginal(q, 0, law, float(t), tol=1e-10)[0]
     print(f"{t:>6.2f} {p:10.6f} {occupancy[0, k]:10.6f}")
 
 print()
@@ -34,5 +34,5 @@ q = TransitionMatrix([[0.5, 0.5], [0.5, 0.5]])
 occupancy = simulate_chain(q, 0, law, grid, n_paths, 18)
 print(f"{'t':>6} {'analytic':>10} {'simulated':>10}")
 for k, t in enumerate(grid):
-    p = semi_markov_marginal(q, 0, 0, law, float(t), tol=1e-10)
+    p = semi_markov_marginal(q, 0, law, float(t), tol=1e-10)[0]
     print(f"{t:>6.2f} {p:10.6f} {occupancy[0, k]:10.6f}")

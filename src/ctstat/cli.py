@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -37,7 +36,7 @@ from .laplace import (
     memory_kernel_symbol,
     survival_symbol,
 )
-from .mc import SimulationPlan, build_ecdf, ks_distance, simulate_statistic
+from .mc import SimulationPlan, _check_seed, build_ecdf, ks_distance, simulate_statistic
 from .relax import DeltaKernel, PowerLawKernel, RelaxationProblem, solve_relaxation
 from .renewal import Exponential, MittagLeffler, counting_pmf, generate_epochs
 from .special import ml_one_param
@@ -116,29 +115,6 @@ def _wait_law_from(args):
     if args.waits is not None:
         return _parse_wait_law(args.waits)
     raise DomainError("a waiting law is required: --alpha ORDER or --waits LAW")
-
-
-def _check_seed(seed: int) -> int:
-    if not (0 <= seed < 1 << 64):
-        raise DomainError(f"seed must fit in 64 bits, got {seed}")
-    return seed
-
-
-def _resolve_threads(args) -> int:
-    if args.threads is None:
-        raw = os.environ.get("CTSTAT_THREADS", "").strip()
-        if raw:
-            try:
-                args.threads = int(raw)
-            except ValueError:
-                raise DomainError(
-                    f"CTSTAT_THREADS must be an integer, got {raw!r}"
-                ) from None
-        else:
-            args.threads = 1
-    if args.threads < 1:
-        raise DomainError(f"thread count must be >= 1, got {args.threads}")
-    return args.threads
 
 
 def _config(args) -> dict:
@@ -222,8 +198,7 @@ def _cmd_pmf(args) -> int:
 
 def _cmd_epochs(args) -> int:
     law = _wait_law_from(args)
-    _check_seed(args.seed)
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(_check_seed(args.seed))
     seq = generate_epochs(law, rng, args.tmax)
     rows = list(enumerate(seq.times, start=1))
     _emit_table(args, ("n", "epoch"), rows)
@@ -271,10 +246,7 @@ def _cmd_chain(args) -> int:
     columns = ["t"] + [f"p_{args.start}{j}" for j in range(q.n_states)]
     rows = [
         [float(t)]
-        + [
-            semi_markov_marginal(q, args.start, j, waits, float(t), tol=args.tol)
-            for j in range(q.n_states)
-        ]
+        + list(semi_markov_marginal(q, args.start, waits, float(t), tol=args.tol))
         for t in ts
     ]
     _emit_table(args, columns, rows)
@@ -312,16 +284,14 @@ def _simulation_plan(args) -> SimulationPlan:
 
 
 def _cmd_simulate(args) -> int:
-    threads = _resolve_threads(args)
-    samples = simulate_statistic(_simulation_plan(args), n_workers=threads)
+    samples = simulate_statistic(_simulation_plan(args))
     _emit_table(args, ("sample",), [(float(s),) for s in samples])
     return _EXIT_OK
 
 
 def _cmd_compare(args) -> int:
-    threads = _resolve_threads(args)
     plan = _simulation_plan(args)
-    samples = simulate_statistic(plan, n_workers=threads)
+    samples = simulate_statistic(plan)
 
     def reference(u):
         return mixture_cdf(
@@ -354,12 +324,6 @@ def _add_common(sub, default_format: str) -> None:
         "--format", choices=("csv", "json"), default=default_format
     )
     sub.add_argument("--seed", type=int, default=0, help="64-bit master seed")
-    sub.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="worker threads (default CTSTAT_THREADS or 1)",
-    )
 
 
 def _add_wait_flags(sub) -> None:

@@ -31,6 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, InversionError
+from .renewal import _check_waiting_law
 
 __all__ = [
     "LaplaceSymbol",
@@ -60,56 +61,29 @@ class LaplaceSymbol:
         return self.fn(s)
 
 
-def _is_exponential(law) -> bool:
-    return hasattr(law, "rate")
-
-
-def _is_mittag_leffler(law) -> bool:
-    return hasattr(law, "order")
-
-
-def _check_law(law) -> None:
-    if not (_is_exponential(law) or _is_mittag_leffler(law)):
-        raise DomainError(
-            f"unsupported inter-event law: {law!r}; expected an object "
-            "with a 'rate' (exponential) or 'order' (Mittag-Leffler) field"
-        )
-
-
 def density_symbol(law) -> LaplaceSymbol:
     """Transform of the waiting-time density."""
-    _check_law(law)
-    if _is_exponential(law):
-        lam = law.rate
-        return LaplaceSymbol(lambda s: lam / (lam + s), f"exp({lam}) density")
-    a = law.order
-    return LaplaceSymbol(lambda s: 1.0 / (1.0 + s**a), f"ml({a}) density")
+    _check_waiting_law(law)
+    return LaplaceSymbol(law.density_lt, f"{law!r} density")
 
 
 def survival_symbol(law) -> LaplaceSymbol:
     """Transform of the waiting-time survival function, (1 - d(s))/s."""
-    _check_law(law)
-    if _is_exponential(law):
-        lam = law.rate
-        return LaplaceSymbol(lambda s: 1.0 / (lam + s), f"exp({lam}) survival")
-    a = law.order
-    return LaplaceSymbol(
-        lambda s: s ** (a - 1.0) / (1.0 + s**a), f"ml({a}) survival"
-    )
+    _check_waiting_law(law)
+    return LaplaceSymbol(law.survival_lt, f"{law!r} survival")
 
 
 def memory_kernel_symbol(law) -> LaplaceSymbol:
-    """Transform of the memory kernel, (1 - d(s))/(s d(s)), in closed form.
+    """Transform of the memory kernel, (1 - d(s))/(s d(s)).
 
-    Exponential waits give the constant 1/rate; Mittag-Leffler waits of
-    order a give s^(a-1), the hallmark of a power-law memory.
+    Evaluated as survival over density transform.  Exponential waits
+    give the constant 1/rate; Mittag-Leffler waits of order a give
+    s^(a-1), the hallmark of a power-law memory.
     """
-    _check_law(law)
-    if _is_exponential(law):
-        lam = law.rate
-        return LaplaceSymbol(lambda s: 1.0 / lam + 0.0 * s, f"exp({lam}) kernel")
-    a = law.order
-    return LaplaceSymbol(lambda s: s ** (a - 1.0), f"ml({a}) kernel")
+    _check_waiting_law(law)
+    return LaplaceSymbol(
+        lambda s: law.survival_lt(s) / law.density_lt(s), f"{law!r} kernel"
+    )
 
 
 def marginal_symbol(law, v: float) -> LaplaceSymbol:
@@ -125,26 +99,23 @@ def marginal_symbol(law, v: float) -> LaplaceSymbol:
     ``v = 1`` reduces to 1/s (never leaves), ``v = 0`` to the
     waiting-time survival transform (gone after the first event).
     """
-    _check_law(law)
+    _check_waiting_law(law)
     if not (0.0 <= v <= 1.0):
         raise DomainError(f"mixture weight must lie in [0, 1], got {v}")
-    surv = survival_symbol(law)
-    dens = density_symbol(law)
     return LaplaceSymbol(
-        lambda s: surv(s) / (1.0 - v * dens(s)),
-        f"marginal v={v} of {dens.label}",
+        lambda s: law.survival_lt(s) / (1.0 - v * law.density_lt(s)),
+        f"marginal v={v} of {law!r}",
     )
 
 
 def counting_symbol(law, n: int) -> LaplaceSymbol:
     """Transform of P(exactly n events by time t): (1 - d(s))/s * d(s)^n."""
-    _check_law(law)
+    _check_waiting_law(law)
     if n < 0:
         raise DomainError(f"count must be non-negative, got {n}")
-    surv = survival_symbol(law)
-    dens = density_symbol(law)
     return LaplaceSymbol(
-        lambda s: surv(s) * dens(s) ** n, f"count n={n} of {dens.label}"
+        lambda s: law.survival_lt(s) * law.density_lt(s) ** n,
+        f"count n={n} of {law!r}",
     )
 
 

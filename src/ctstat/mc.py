@@ -2,10 +2,9 @@
 
 Each path owns a counter-based random stream: the path index is pushed
 through a 64-bit avalanche hash, xored into the master seed, hashed
-again, and the result keys a Philox generator.  Draws on one path never
-depend on how paths are distributed over workers, so a simulation is
-reproducible from the master seed alone at any parallelism degree.
-Returned samples are sorted to erase collection order as well.
+again, and the result keys a Philox generator.  Draws on one path
+depend only on the master seed and the path index, so a simulation is
+reproducible from the master seed alone.  Returned samples are sorted.
 
 A path is simulated literally: waiting times are drawn until the epoch
 passes t (an event landing exactly at t is counted, matching the
@@ -25,13 +24,12 @@ default acceptance line.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .renewal import Exponential, MittagLeffler, sample_waiting_time
+from .renewal import _check_waiting_law, sample_waiting_time
 from .stats import StatisticKind, TransitionMatrix, _check_jump_law
 
 __all__ = [
@@ -68,11 +66,6 @@ def _check_seed(seed) -> int:
     return int(seed)
 
 
-def _check_waits(law) -> None:
-    if not isinstance(law, (Exponential, MittagLeffler)):
-        raise DomainError(f"unsupported inter-event law: {law!r}")
-
-
 @dataclass(frozen=True)
 class SimulationPlan:
     """Everything one statistic simulation depends on."""
@@ -88,7 +81,7 @@ class SimulationPlan:
         if not isinstance(self.kind, StatisticKind):
             raise DomainError(f"kind must be a StatisticKind, got {self.kind!r}")
         _check_jump_law(self.jump_law)
-        _check_waits(self.ie_law)
+        _check_waiting_law(self.ie_law)
         if not (0.0 <= self.t < math.inf):
             raise DomainError(f"t must be non-negative and finite, got {self.t}")
         if self.n_paths < 1:
@@ -123,34 +116,10 @@ def _statistic_path(plan: SimulationPlan, index: int) -> float:
     return float(np.max(draws))
 
 
-def _run_indexed(worker, n_items: int, n_workers: int) -> np.ndarray:
-    out = np.empty(n_items)
-    if n_workers == 1:
-        for i in range(n_items):
-            out[i] = worker(i)
-        return out
-
-    def fill(lo: int, hi: int) -> None:
-        for i in range(lo, hi):
-            out[i] = worker(i)
-
-    chunk = -(-n_items // n_workers)
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        futures = [
-            pool.submit(fill, lo, min(lo + chunk, n_items))
-            for lo in range(0, n_items, chunk)
-        ]
-        for f in futures:
-            f.result()
-    return out
-
-
-def simulate_statistic(plan: SimulationPlan, n_workers: int = 1) -> np.ndarray:
+def simulate_statistic(plan: SimulationPlan) -> np.ndarray:
     """Simulate the planned statistic; returns the sorted sample values."""
-    if n_workers < 1:
-        raise DomainError(f"n_workers must be at least 1, got {n_workers}")
-    samples = _run_indexed(
-        lambda i: _statistic_path(plan, i), plan.n_paths, n_workers
+    samples = np.fromiter(
+        (_statistic_path(plan, i) for i in range(plan.n_paths)), float, plan.n_paths
     )
     samples.sort()
     return samples
@@ -163,7 +132,6 @@ def simulate_chain(
     t_grid,
     n_paths: int,
     master_seed: int,
-    n_workers: int = 1,
 ) -> np.ndarray:
     """Occupancy fractions of a jump chain on a time grid.
 
@@ -177,7 +145,7 @@ def simulate_chain(
         raise DomainError(f"q must be a TransitionMatrix, got {q!r}")
     if not (0 <= start < q.n_states):
         raise DomainError(f"start state {start} out of range")
-    _check_waits(ie_law)
+    _check_waiting_law(ie_law)
     grid = np.asarray(t_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise DomainError("t_grid must be a non-empty 1-d sequence")
@@ -188,8 +156,6 @@ def simulate_chain(
     if n_paths < 1:
         raise DomainError(f"n_paths must be at least 1, got {n_paths}")
     seed = _check_seed(master_seed)
-    if n_workers < 1:
-        raise DomainError(f"n_workers must be at least 1, got {n_workers}")
 
     cum_rows = q.cumulative()
     n_states = q.n_states
@@ -218,25 +184,9 @@ def simulate_chain(
         return states
 
     counts = np.zeros((n_states, grid.size), dtype=np.int64)
-
-    def accumulate(lo: int, hi: int) -> np.ndarray:
-        local = np.zeros((n_states, grid.size), dtype=np.int64)
-        cols = np.arange(grid.size)
-        for i in range(lo, hi):
-            local[path_states(i), cols] += 1
-        return local
-
-    if n_workers == 1:
-        counts = accumulate(0, n_paths)
-    else:
-        chunk = -(-n_paths // n_workers)
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            futures = [
-                pool.submit(accumulate, lo, min(lo + chunk, n_paths))
-                for lo in range(0, n_paths, chunk)
-            ]
-            for f in futures:
-                counts = counts + f.result()
+    cols = np.arange(grid.size)
+    for i in range(n_paths):
+        counts[path_states(i), cols] += 1
     return counts / float(n_paths)
 
 

@@ -6,7 +6,8 @@ case, counts are Poisson) and Mittag-Leffler waits of order ``a`` in
 (0, 1], whose survival function is ``E_a(-t^a)``.  The latter has
 infinite mean for ``a < 1`` and makes the event count grow like ``t^a``
 instead of linearly; at ``a = 1`` it coincides with unit-rate
-exponential waits.
+exponential waits.  Both implement the ``WaitingLaw`` protocol, the
+only way the other modules reach a waiting law.
 
 The number of events up to ``t`` counts epochs inclusively:
 ``N(t) = max{n : T_n <= t}`` with ``T_n`` the n-th partial sum of
@@ -22,7 +23,7 @@ import numpy as np
 from scipy.special import gammainc, gammaln
 
 from .errors import DomainError
-from .special import ml_survival
+from .special import ml_survival, ml_values
 
 __all__ = [
     "Exponential",
@@ -41,8 +42,46 @@ _PMF_MASS_TARGET = 1.0 - 1e-6
 _PMF_HARD_CAP = 10_000
 
 
+class WaitingLaw:
+    """Protocol shared by the waiting-time laws.
+
+    Every law supplies ``sample(rng, size)``, the Laplace transforms
+    ``density_lt(s)`` and ``survival_lt(s)`` of its density and survival
+    function, and ``count_pgf(t, x) = E (1 - x)^N(t)``, the generating
+    function of the event count taken at ``z = 1 - x``.  Passing the
+    complement keeps ``x`` deep in a jump tail, where ``z`` would round
+    to one, from cancelling.
+    """
+
+
+def _check_waiting_law(law) -> None:
+    if not isinstance(law, WaitingLaw):
+        raise DomainError(f"unsupported inter-event law: {law!r}")
+
+
+def _check_rng(rng) -> None:
+    if not isinstance(rng, np.random.Generator):
+        raise DomainError(
+            f"rng must be a numpy Generator, got {type(rng).__name__}"
+        )
+
+
+def _draw(rng: np.random.Generator, size, fn):
+    """Front of every sampler: ``fn(n)`` draws n variates from ``rng``.
+
+    Scalar for size=None, else an array of ``size`` draws.  Uniforms are
+    taken as 1 - random() so the open endpoint sits at zero.
+    """
+    _check_rng(rng)
+    n = 1 if size is None else int(size)
+    if n < 0:
+        raise DomainError(f"size must be non-negative, got {size}")
+    out = fn(n)
+    return float(out[0]) if size is None else out
+
+
 @dataclass(frozen=True)
-class Exponential:
+class Exponential(WaitingLaw):
     """Exponential waiting times with the given rate."""
 
     rate: float = 1.0
@@ -57,9 +96,22 @@ class Exponential:
     def mean(self) -> float:
         return 1.0 / self.rate
 
+    def sample(self, rng: np.random.Generator, size=None):
+        return _draw(rng, size, lambda n: -np.log(1.0 - rng.random(n)) / self.rate)
+
+    def density_lt(self, s):
+        return self.rate / (self.rate + s)
+
+    def survival_lt(self, s):
+        return 1.0 / (self.rate + s)
+
+    def count_pgf(self, t: float, x):
+        """Poisson counts: exp(-rate * x * t)."""
+        return np.exp(-self.rate * np.asarray(x, dtype=float) * t)
+
 
 @dataclass(frozen=True)
-class MittagLeffler:
+class MittagLeffler(WaitingLaw):
     """Mittag-Leffler waiting times of order in (0, 1].
 
     Survival E_order(-t^order); heavy tailed with infinite mean for
@@ -78,46 +130,40 @@ class MittagLeffler:
     def mean(self) -> float:
         return 1.0 if self.order == 1.0 else math.inf
 
+    def sample(self, rng: np.random.Generator, size=None):
+        """Two-uniform product representation
 
-def _check_rng(rng) -> None:
-    if not isinstance(rng, np.random.Generator):
-        raise DomainError(
-            f"rng must be a numpy Generator, got {type(rng).__name__}"
-        )
+            J = -log(U) * (sin(a*pi*(1-V)) / sin(a*pi*V)) ** (1/a)
+
+        which reduces to plain -log(U) at a = 1.
+        """
+        a = self.order
+
+        def variates(n: int) -> np.ndarray:
+            base = -np.log(1.0 - rng.random(n))
+            if a == 1.0:
+                return base
+            v = 1.0 - rng.random(n)
+            ap = a * math.pi
+            return base * (np.sin(ap * (1.0 - v)) / np.sin(ap * v)) ** (1.0 / a)
+
+        return _draw(rng, size, variates)
+
+    def density_lt(self, s):
+        return 1.0 / (1.0 + s**self.order)
+
+    def survival_lt(self, s):
+        return s ** (self.order - 1.0) / (1.0 + s**self.order)
+
+    def count_pgf(self, t: float, x):
+        """Fractional Poisson counts: E_a(-x * t^a) (Beghin & Orsingher 2009)."""
+        return ml_values(self.order, -np.asarray(x, dtype=float) * t**self.order)
 
 
 def sample_waiting_time(law, rng: np.random.Generator, size=None):
-    """Draw waiting times; scalar for size=None, else an array.
-
-    Uses inversion for exponential waits and the two-uniform product
-    representation for Mittag-Leffler waits:
-
-        J = -log(U) * (sin(a*pi*(1-V)) / sin(a*pi*V)) ** (1/a)
-
-    which reduces to plain -log(U) at a = 1.  Uniforms are taken as
-    1 - random() so the open endpoint sits at zero waiting time.
-    """
-    _check_rng(rng)
-    n = 1 if size is None else int(size)
-    if n < 0:
-        raise DomainError(f"size must be non-negative, got {size}")
-    u = 1.0 - rng.random(n)
-    base = -np.log(u)
-    if isinstance(law, Exponential):
-        out = base / law.rate
-    elif isinstance(law, MittagLeffler):
-        a = law.order
-        if a == 1.0:
-            out = base
-        else:
-            v = 1.0 - rng.random(n)
-            ap = a * math.pi
-            out = base * (np.sin(ap * (1.0 - v)) / np.sin(ap * v)) ** (1.0 / a)
-    else:
-        raise DomainError(f"unsupported inter-event law: {law!r}")
-    if size is None:
-        return float(out[0])
-    return out
+    """Draw waiting times from ``law``; scalar for size=None, else an array."""
+    _check_waiting_law(law)
+    return law.sample(rng, size)
 
 
 @dataclass(frozen=True)
@@ -238,8 +284,7 @@ def counting_pmf(
             return float(gammainc(n + 1.0, mu))
 
     elif isinstance(law, MittagLeffler):
-        # local import: laplace pulls no renewal symbols at module level,
-        # but keeping it here makes the closed-form path import-free
+        # local import: laplace imports this module at module level
         from .laplace import (
             InversionConfig,
             LaplaceSymbol,
@@ -257,9 +302,8 @@ def counting_pmf(
                 return max(invert(counting_symbol(law, n), t, cfg), 0.0)
 
             def tail_beyond(n: int) -> float:
-                a = law.order
                 sym = LaplaceSymbol(
-                    lambda s: (1.0 / (1.0 + s**a)) ** (n + 1) / s,
+                    lambda s: law.density_lt(s) ** (n + 1) / s,
                     f"arrival cdf n={n + 1}",
                 )
                 return min(max(invert(sym, t, cfg), 0.0), 1.0)

@@ -10,11 +10,13 @@ mixing over the number of events,
 
 with the convention that an empty stream contributes a statistic equal
 to zero.  The max mixture is geometric in F(w) and collapses through
-the count generating function: exp(-rate * S(w) * t) for exponential
-waits, and the Mittag-Leffler survival E_a(-S(w) * t**a) for
-heavy-tailed waits, where S = 1 - F is the jump survival.  Unit-rate
-exponential waits with unit-rate exponential jumps give the classical
-double-exponential law exp(-t * exp(-w)).
+the count generating function that every waiting law supplies:
+exp(-rate * S(w) * t) for exponential waits, and the Mittag-Leffler
+survival E_a(-S(w) * t**a) for heavy-tailed waits, where S = 1 - F is
+the jump survival.  That generating function is the only route to the
+max law; no count table is summed for it.  Unit-rate exponential waits
+with unit-rate exponential jumps give the classical double-exponential
+law exp(-t * exp(-w)).
 
 The sum mixture is summed term by term whenever the jump law has an
 exact n-fold cdf: Erlang for exponential jumps, lattice steps for
@@ -46,8 +48,14 @@ from scipy.signal import fftconvolve
 from scipy.special import gammainc
 
 from .errors import AccuracyError, CapabilityError, DomainError
-from .renewal import CountingPmfTable, Exponential, _check_rng, counting_pmf
-from .special import ml_values
+from .renewal import (
+    CountingPmfTable,
+    Exponential,
+    MittagLeffler,
+    _check_waiting_law,
+    _draw,
+    counting_pmf,
+)
 
 __all__ = [
     "StatisticKind",
@@ -85,7 +93,7 @@ def _positive(name: str, value: float) -> None:
 
 
 def _check_jump_law(jumps) -> None:
-    for attr in ("cdf", "sf", "nfold_cdf", "sample"):
+    for attr in ("cdf", "sf", "lst", "nfold_cdf", "nfold_error", "sample"):
         if not callable(getattr(jumps, attr, None)):
             raise DomainError(
                 f"jump law {jumps!r} lacks a callable {attr!r} method"
@@ -138,12 +146,7 @@ class ExponentialJumps:
         return 1e-14
 
     def sample(self, rng: np.random.Generator, size=None):
-        _check_rng(rng)
-        n = 1 if size is None else int(size)
-        if n < 0:
-            raise DomainError(f"size must be non-negative, got {size}")
-        out = -np.log(1.0 - rng.random(n)) / self.rate
-        return float(out[0]) if size is None else out
+        return _draw(rng, size, lambda n: -np.log(1.0 - rng.random(n)) / self.rate)
 
 
 @dataclass(frozen=True)
@@ -213,12 +216,7 @@ class UniformJumps:
         return 2.3e-16 * math.sqrt(n / (2.0 * math.pi)) * math.exp(n)
 
     def sample(self, rng: np.random.Generator, size=None):
-        _check_rng(rng)
-        n = 1 if size is None else int(size)
-        if n < 0:
-            raise DomainError(f"size must be non-negative, got {size}")
-        out = self.upper * (1.0 - rng.random(n))
-        return float(out[0]) if size is None else out
+        return _draw(rng, size, lambda n: self.upper * (1.0 - rng.random(n)))
 
 
 @dataclass(frozen=True)
@@ -276,12 +274,11 @@ class ParetoJumps:
         return 0.0 if n <= 1 else math.inf
 
     def sample(self, rng: np.random.Generator, size=None):
-        _check_rng(rng)
-        n = 1 if size is None else int(size)
-        if n < 0:
-            raise DomainError(f"size must be non-negative, got {size}")
-        out = self.scale * (1.0 - rng.random(n)) ** (-1.0 / self.exponent)
-        return float(out[0]) if size is None else out
+        return _draw(
+            rng,
+            size,
+            lambda n: self.scale * (1.0 - rng.random(n)) ** (-1.0 / self.exponent),
+        )
 
 
 @dataclass(frozen=True)
@@ -313,13 +310,7 @@ class DegenerateJumps:
         return 0.0
 
     def sample(self, rng: np.random.Generator, size=None):
-        _check_rng(rng)
-        n = 1 if size is None else int(size)
-        if n < 0:
-            raise DomainError(f"size must be non-negative, got {size}")
-        if size is None:
-            return self.value
-        return np.full(n, self.value)
+        return _draw(rng, size, lambda n: np.full(n, self.value))
 
 
 @dataclass(frozen=True)
@@ -357,12 +348,15 @@ class TransitionMatrix:
 def mixture_cdf(kind: StatisticKind, jumps, waits, t: float, u, tol: float = 1e-8):
     """Law of a statistic at time t, as a mixture over the event count.
 
-    Evaluates sum_n pmf_n(t) * F*n(u) for the sum and
-    sum_n pmf_n(t) * F(u)**n for the max, with the count table built to
-    hold all but a quarter of ``tol`` of the mass.  Scalar ``u`` gives a
-    float, an array gives an array of the same shape.  Raises
-    AccuracyError when the total error bound cannot be pushed below
-    ``tol``.
+    The max mixture sum_n pmf_n(t) * F(u)**n is the count generating
+    function at F(u), which the waiting law evaluates in closed form
+    (see :func:`max_cdf`) within the 1e-10 guarantee of the
+    Mittag-Leffler evaluator, so ``tol`` governs the sum only.  The sum
+    mixture sum_n pmf_n(t) * F*n(u) is summed over a count table built
+    to hold all but a quarter of ``tol`` of the mass, and raises
+    AccuracyError when its total error bound cannot be pushed below
+    ``tol``.  Scalar ``u`` gives a float, an array gives an array of the
+    same shape.
     """
     if not isinstance(kind, StatisticKind):
         raise DomainError(f"kind must be a StatisticKind, got {kind!r}")
@@ -371,26 +365,19 @@ def mixture_cdf(kind: StatisticKind, jumps, waits, t: float, u, tol: float = 1e-
     if not (0.0 <= t < math.inf):
         raise DomainError(f"time must be non-negative and finite, got {t}")
     _check_jump_law(jumps)
-    table = counting_pmf(waits, t, mass_target=1.0 - 0.25 * tol)
+    _check_waiting_law(waits)
     if kind is StatisticKind.MAX:
-        u_arr, scalar = _nonnegative_array(u, "u")
-        base = np.asarray(jumps.cdf(u_arr), dtype=float)
-        # Horner over the count pmf: every coefficient is a probability
-        # and the base lies in [0, 1], so the recursion cannot cancel
-        acc = np.zeros_like(base)
-        for p in table.probabilities[::-1]:
-            acc = acc * base + p
-        # dropped terms are bounded by the uncovered count mass
-        if table.tail_bound > tol:
-            raise AccuracyError(
-                f"count table leaves {table.tail_bound:.3e} mass uncovered, "
-                f"above tol={tol:.3e}",
-                value=float(acc[()]) if scalar else acc,
-                est_error=table.tail_bound,
-            )
-        acc = np.clip(acc, 0.0, 1.0)
-        return float(acc[()]) if scalar else acc
+        return _max_mixture(jumps, waits, t, u)
+    table = counting_pmf(waits, t, mass_target=1.0 - 0.25 * tol)
     return _sum_mixture(table, jumps, u, tol)
+
+
+def _max_mixture(jumps, waits, t: float, w):
+    """E F(w)^N(t) = waits.count_pgf(t, S(w)), with S the jump survival."""
+    w_arr, scalar = _nonnegative_array(w, "w")
+    sf = np.asarray(jumps.sf(np.atleast_1d(w_arr)), dtype=float)
+    out = np.clip(waits.count_pgf(t, sf), 0.0, 1.0)
+    return float(out[0]) if scalar else out.reshape(w_arr.shape)
 
 
 def _sum_mixture(table: CountingPmfTable, jumps, u, tol: float):
@@ -449,8 +436,7 @@ def _sum_mixture(table: CountingPmfTable, jumps, u, tol: float):
 
 
 def _nfold_term_error(jumps, n: int, weight: float) -> float:
-    err_fn = getattr(jumps, "nfold_error", None)
-    err = err_fn(n) if callable(err_fn) else 1e-13
+    err = jumps.nfold_error(n)
     if not math.isfinite(err):
         return math.inf if weight > 0.0 else 0.0
     return weight * err
@@ -521,16 +507,11 @@ def max_cdf(order: float, jumps, t: float, w):
     the jumps are unit-rate exponential.  An empty stream has maximum
     zero, hence the value at w = 0 is the probability of no events.
     """
-    if not (0.0 < order <= 1.0):
-        raise DomainError(f"order must lie in (0, 1], got {order}")
+    waits = MittagLeffler(order)
     if not (0.0 <= t < math.inf):
         raise DomainError(f"time must be non-negative and finite, got {t}")
     _check_jump_law(jumps)
-    w_arr, scalar = _nonnegative_array(w, "w")
-    flat = np.atleast_1d(w_arr)
-    sf = np.asarray(jumps.sf(flat), dtype=float)
-    out = ml_values(order, -sf * t**order)
-    return float(out[0]) if scalar else out.reshape(w_arr.shape)
+    return _max_mixture(jumps, waits, t, w)
 
 
 def statistic_transform(kind: StatisticKind, jumps, w: float) -> float:
@@ -551,8 +532,9 @@ def statistic_transform(kind: StatisticKind, jumps, w: float) -> float:
     return float(jumps.lst(w))  # CapabilityError for Pareto
 
 
-def semi_markov_marginal(q: TransitionMatrix, i: int, j: int, waits, t: float, tol: float = 1e-8) -> float:
-    """P(state at time t is j | started in i), for a chain over ``q``.
+def semi_markov_marginal(q: TransitionMatrix, i: int, waits, t: float, tol: float = 1e-8) -> np.ndarray:
+    """Row i of the chain's transition law at time t: P(state at t = j |
+    started in i) for every state j, for a chain over ``q``.
 
     The state changes only at stream events, stepping by one draw from
     the transition matrix each time, so conditioning on the event count
@@ -561,27 +543,34 @@ def semi_markov_marginal(q: TransitionMatrix, i: int, j: int, waits, t: float, t
         p_ij(t) = sum_n pmf_n(t) * (q**n)_ij
 
     with the n = 0 term the no-event survival times the indicator of
-    i == j.  The count table is built so its uncovered mass stays below
-    ``tol``; since every matrix power entry is a probability, that mass
-    bounds the truncation error, and the row sums land within ``tol``
-    of one.
+    i == j.  The count table is built to hold all but half of ``tol``
+    of the mass; since every matrix power entry is a probability, its
+    uncovered mass bounds the truncation error of each entry, and the
+    row sums land within ``tol`` of one.  Raises AccuracyError, carrying
+    the row, when the table cannot cover the mass to within ``tol``.
     """
     if not isinstance(q, TransitionMatrix):
         raise DomainError(f"q must be a TransitionMatrix, got {q!r}")
-    for name, state in (("i", i), ("j", j)):
-        if not isinstance(state, (int, np.integer)) or not (0 <= state < q.n_states):
-            raise DomainError(f"state {name}={state!r} out of range for {q.n_states} states")
+    if not isinstance(i, (int, np.integer)) or not (0 <= i < q.n_states):
+        raise DomainError(f"state i={i!r} out of range for {q.n_states} states")
     if not (0.0 <= t < math.inf):
         raise DomainError(f"time must be non-negative and finite, got {t}")
     if not (0.0 < tol < 1.0):
         raise DomainError(f"tol must lie in (0, 1), got {tol}")
-    table = counting_pmf(waits, t, mass_target=1.0 - tol)
+    table = counting_pmf(waits, t, mass_target=1.0 - 0.5 * tol)
     pmf = table.probabilities
     # row i of successive matrix powers, by repeated multiplication
     row = np.zeros(q.n_states)
     row[i] = 1.0
-    value = pmf[0] * row[j]
+    value = pmf[0] * row
     for n in range(1, len(pmf)):
         row = row @ q.matrix
-        value += pmf[n] * row[j]
-    return float(value)
+        value += pmf[n] * row
+    if table.tail_bound > tol:
+        raise AccuracyError(
+            f"count table leaves {table.tail_bound:.3e} mass uncovered, "
+            f"above tol={tol:.3e}",
+            value=value,
+            est_error=table.tail_bound,
+        )
+    return value

@@ -219,7 +219,7 @@ def test_simulate_single_column(capsys):
     config, columns, rows = parse_csv(first)
     assert columns == ["sample"]
     assert len(rows) == 200
-    assert config["threads"] == 1
+    assert "threads" not in config
     samples = [float(r[0]) for r in rows]
     assert samples == sorted(samples)
     code, second, _ = run(capsys, args)
@@ -252,17 +252,3 @@ def test_compare_csv_format(capsys):
     _, columns, rows = parse_csv(out)
     assert columns == ["d", "n", "threshold", "pass"]
     assert rows[0][3] == "true"
-
-
-def test_threads_default_from_environment(capsys, monkeypatch):
-    monkeypatch.setenv("CTSTAT_THREADS", "4")
-    args = ["simulate", "--stat", "max", "--jumps", "exp:1", "--alpha", "0.7",
-            "--t", "1", "--paths", "500", "--seed", "5"]
-    code, out, _ = run(capsys, args)
-    assert code == 0
-    config, _, _ = parse_csv(out)
-    assert config["threads"] == 4
-    monkeypatch.setenv("CTSTAT_THREADS", "four")
-    code, _, err = run(capsys, args)
-    assert code == 2
-    assert "CTSTAT_THREADS" in err

@@ -25,8 +25,10 @@ from ctstat.laplace import (
     stehfest_weights,
     survival_symbol,
 )
+from ctstat.relax import PowerLawKernel
 from ctstat.renewal import Exponential, MittagLeffler
 from ctstat.special import ml_survival
+from ctstat.stats import ExponentialJumps
 
 TALBOT = InversionConfig(method="talbot")
 
@@ -162,8 +164,10 @@ def test_counting_symbol_count_domain():
 
 
 def test_unsupported_law_rejected():
-    with pytest.raises(DomainError):
-        density_symbol(object())
+    # jump laws and kernels carry a rate or an order but are no waiting laws
+    for law in (object(), ExponentialJumps(2.0), PowerLawKernel(0.5)):
+        with pytest.raises(DomainError):
+            density_symbol(law)
 
 
 def test_cross_check_flags_oscillatory_original():

@@ -68,16 +68,12 @@ def test_seed_determinism_and_worker_equality():
     )
     a = simulate_statistic(plan)
     b = simulate_statistic(plan)
-    c = simulate_statistic(plan, n_workers=3)
     assert np.array_equal(a, b)
-    assert np.array_equal(a, c)
     assert np.all(np.diff(a) >= 0.0)  # sorted output
     other = SimulationPlan(
         StatisticKind.SUM, ExponentialJumps(1.0), MittagLeffler(0.7), 1.5, 4000, 124
     )
     assert not np.array_equal(a, simulate_statistic(other))
-    with pytest.raises(DomainError):
-        simulate_statistic(plan, n_workers=0)
 
 
 def test_compound_sum_moments():
@@ -138,8 +134,6 @@ def test_chain_validation():
         simulate_chain(ABSORBING, 0, Exponential(1.0), [-1.0], 10, 1)
     with pytest.raises(DomainError):
         simulate_chain(ABSORBING, 0, Exponential(1.0), [0.5], 0, 1)
-    with pytest.raises(DomainError):
-        simulate_chain(ABSORBING, 0, Exponential(1.0), [0.5], 10, 1, n_workers=0)
 
 
 def test_chain_at_time_zero_is_exact():
@@ -176,18 +170,11 @@ def test_symmetric_chain_matches_marginal():
     n = 20_000
     occ = simulate_chain(q, 0, Exponential(1.0), grid, n, 21)
     ref = np.array(
-        [semi_markov_marginal(q, 0, 0, Exponential(1.0), t, 1e-10) for t in grid]
+        [semi_markov_marginal(q, 0, Exponential(1.0), t, 1e-10)[0] for t in grid]
     )
     assert np.max(np.abs(ref - 0.5 * (1.0 + np.exp(-grid)))) < 1e-9
     band = 3.0 * np.sqrt(ref * (1.0 - ref) / n)
     assert np.all(np.abs(occ[0] - ref) <= band)
-
-
-def test_chain_worker_equality():
-    grid = np.array([0.5, 1.5])
-    a = simulate_chain(ABSORBING, 0, Exponential(1.0), grid, 3000, 5)
-    b = simulate_chain(ABSORBING, 0, Exponential(1.0), grid, 3000, 5, n_workers=4)
-    assert np.array_equal(a, b)
 
 
 def test_ecdf_evaluator():

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -60,6 +61,24 @@ IRWIN_HALL_ORACLE = [
     (10, 3.2, 0.023784362880169324),
     (15, 7.0, 0.32887986932232964),
 ]
+
+
+def ml_series_mp(a, z, dps=60):
+    """E_a(z) by its Taylor series in extended precision.
+
+    The largest term grows like exp(|z|^(1/a)); 60 digits leave over 30
+    after the cancellation for the arguments used here.
+    """
+    with mpmath.workdps(dps):
+        z, a = mpmath.mpf(z), mpmath.mpf(a)
+        total, k = mpmath.mpf(0), 0
+        peak = int(abs(z) ** (1 / a) / a) + 1
+        while True:
+            term = z**k / mpmath.gamma(a * k + 1)
+            total += term
+            if k > peak and abs(term) < mpmath.mpf(10) ** (-30):
+                return float(total)
+            k += 1
 
 
 def ks_statistic(sorted_sample, cdf_values):
@@ -365,7 +384,8 @@ def test_max_cdf_matches_count_mixture():
         direct += p * fw**n
     got = max_cdf(order, jumps, t, w)
     assert np.max(np.abs(got - direct)) < 1e-8
-    # the general mixture entry point goes through the same pmf table
+    # the general mixture entry point shares the generating-function
+    # route of max_cdf, so the pmf sum is its oracle as well
     mixed = mixture_cdf(StatisticKind.MAX, jumps, MittagLeffler(order), t, w)
     assert np.max(np.abs(mixed - direct)) < 1e-8
 
@@ -482,8 +502,7 @@ def test_semi_markov_marginal_absorbing_chain():
     a = 0.7
     for t in (0.5, 1.0, 2.0):
         ref = ml_one_param(a, -(t**a)).value
-        p_aa = semi_markov_marginal(q, 0, 0, MittagLeffler(a), t, tol=1e-10)
-        p_ab = semi_markov_marginal(q, 0, 1, MittagLeffler(a), t, tol=1e-10)
+        p_aa, p_ab = semi_markov_marginal(q, 0, MittagLeffler(a), t, tol=1e-10)
         assert p_aa == pytest.approx(ref, abs=1e-9)
         assert p_ab == pytest.approx(1.0 - ref, abs=1e-9)
 
@@ -495,14 +514,14 @@ def test_semi_markov_marginal_redraw_chain_closed_forms():
     for v in (0.0, 0.3, 0.7):
         q = TransitionMatrix([[v, 1.0 - v], [0.0, 1.0]])
         for t in (0.5, 2.0):
-            got = semi_markov_marginal(q, 0, 0, Exponential(2.0), t, tol=1e-10)
+            got = semi_markov_marginal(q, 0, Exponential(2.0), t, tol=1e-10)[0]
             assert got == pytest.approx(math.exp(-2.0 * (1.0 - v) * t), abs=1e-9)
-            got = semi_markov_marginal(q, 0, 0, MittagLeffler(0.7), t, tol=1e-10)
+            got = semi_markov_marginal(q, 0, MittagLeffler(0.7), t, tol=1e-10)[0]
             ref = ml_one_param(0.7, -(1.0 - v) * t**0.7).value
             assert got == pytest.approx(ref, abs=1e-8)
     # v = 1 never leaves regardless of the waiting law
     q = TransitionMatrix([[1.0, 0.0], [0.0, 1.0]])
-    assert semi_markov_marginal(q, 0, 0, Exponential(1.0), 7.0) == pytest.approx(
+    assert semi_markov_marginal(q, 0, Exponential(1.0), 7.0)[0] == pytest.approx(
         1.0, abs=1e-8
     )
 
@@ -512,7 +531,7 @@ def test_semi_markov_marginal_symmetric_chain():
     # flip, so p_aa(t) = pmf_0 + (1 - pmf_0) / 2 = (1 + e^{-t}) / 2
     q = TransitionMatrix([[0.5, 0.5], [0.5, 0.5]])
     for t in (0.5, 1.0, 3.0):
-        got = semi_markov_marginal(q, 0, 0, Exponential(1.0), t, tol=1e-10)
+        got = semi_markov_marginal(q, 0, Exponential(1.0), t, tol=1e-10)[0]
         assert got == pytest.approx(0.5 * (1.0 + math.exp(-t)), abs=1e-9)
 
 
@@ -526,7 +545,7 @@ def test_semi_markov_marginal_matches_inverted_symbol():
             sym = marginal_symbol(waits, v)
             for t in (0.5, 2.0):
                 got = invert(sym, t, cfg)
-                ref = semi_markov_marginal(q, 0, 0, waits, t, tol=1e-10)
+                ref = semi_markov_marginal(q, 0, waits, t, tol=1e-10)[0]
                 assert got == pytest.approx(ref, abs=1e-8)
 
 
@@ -538,10 +557,7 @@ def test_semi_markov_marginal_rows_sum_to_one():
     for waits in (Exponential(1.5), MittagLeffler(0.6)):
         for t in (0.25, 1.0, 4.0):
             for i in range(3):
-                total = sum(
-                    semi_markov_marginal(q, i, j, waits, t, tol=tol)
-                    for j in range(3)
-                )
+                total = semi_markov_marginal(q, i, waits, t, tol=tol).sum()
                 assert abs(total - 1.0) < 2.0 * tol
 
 
@@ -549,17 +565,27 @@ def test_semi_markov_marginal_validation():
     q = TransitionMatrix([[0.5, 0.5], [0.5, 0.5]])
     waits = Exponential(1.0)
     with pytest.raises(DomainError):
-        semi_markov_marginal([[0.5, 0.5], [0.5, 0.5]], 0, 0, waits, 1.0)
+        semi_markov_marginal([[0.5, 0.5], [0.5, 0.5]], 0, waits, 1.0)
     with pytest.raises(DomainError):
-        semi_markov_marginal(q, 2, 0, waits, 1.0)
+        semi_markov_marginal(q, 2, waits, 1.0)
     with pytest.raises(DomainError):
-        semi_markov_marginal(q, 0, -1, waits, 1.0)
+        semi_markov_marginal(q, -1, waits, 1.0)
     with pytest.raises(DomainError):
-        semi_markov_marginal(q, 0.5, 0, waits, 1.0)
+        semi_markov_marginal(q, 0.5, waits, 1.0)
     with pytest.raises(DomainError):
-        semi_markov_marginal(q, 0, 0, waits, -1.0)
+        semi_markov_marginal(q, 0, waits, -1.0)
     with pytest.raises(DomainError):
-        semi_markov_marginal(q, 0, 0, waits, 1.0, tol=0.0)
+        semi_markov_marginal(q, 0, waits, 1.0, tol=0.0)
+
+
+def test_semi_markov_marginal_raises_when_count_table_is_capped():
+    # Poisson(2e4) counts need more entries than the table cap allows;
+    # the uncovered mass must surface instead of a silent zero row
+    q = TransitionMatrix([[0.5, 0.5], [0.5, 0.5]])
+    with pytest.raises(AccuracyError) as info:
+        semi_markov_marginal(q, 0, Exponential(1.0), 2e4)
+    assert info.value.est_error > 1e-8
+    assert info.value.value.shape == (2,)
 
 
 def test_mixture_cdf_max_trivial_and_against_closed_form():
@@ -568,12 +594,26 @@ def test_mixture_cdf_max_trivial_and_against_closed_form():
         StatisticKind.MAX, UniformJumps(1.0), Exponential(1.0), 2.0, 1.0
     )
     assert got == pytest.approx(1.0, abs=1e-8)
-    # independent routes: pmf-weighted powers vs the collapsed form
+    # the general entry point and max_cdf share one route
     got = mixture_cdf(
         StatisticKind.MAX, ExponentialJumps(1.0), MittagLeffler(0.7), 1.5, 1.0
     )
     ref = max_cdf(0.7, ExponentialJumps(1.0), 1.5, 1.0)
     assert got == pytest.approx(ref, abs=1e-6)
+    # long horizon near order one, far beyond what a count table covers:
+    # E_0.9(-e^{-w} 200^0.9) summed as a 60-digit series
+    w = np.array([1.0, 5.0, 10.0])
+    got = mixture_cdf(
+        StatisticKind.MAX, ExponentialJumps(1.0), MittagLeffler(0.9), 200.0, w
+    )
+    ref = [ml_series_mp(0.9, -math.exp(-x) * 200.0**0.9) for x in w]
+    assert np.max(np.abs(got - ref)) < 1e-9
+    # non-unit-rate exponential waits: Poisson counts at rate 2.5
+    w = np.linspace(0.0, 8.0, 17)
+    got = mixture_cdf(
+        StatisticKind.MAX, ExponentialJumps(1.0), Exponential(2.5), 3.0, w
+    )
+    assert np.max(np.abs(got - np.exp(-2.5 * 3.0 * np.exp(-w)))) < 1e-14
 
 
 def test_mixture_cdf_sum_at_zero_level():
