@@ -39,7 +39,7 @@ from .laplace import (
 from .mc import SimulationPlan, _check_seed, build_ecdf, ks_distance, simulate_statistic
 from .relax import DeltaKernel, PowerLawKernel, RelaxationProblem, solve_relaxation
 from .renewal import Exponential, MittagLeffler, counting_pmf, generate_epochs
-from .special import ml_one_param
+from .special import ml_one_param, ml_values
 from .stats import (
     DegenerateJumps,
     ExponentialJumps,
@@ -183,8 +183,12 @@ def _grid_from(args, single_flag: str, lo_flag: str, hi_flag: str):
 
 def _cmd_ml(args) -> int:
     zs = _grid_from(args, "z", "zmin", "zmax")
-    rows = [(float(z), ml_one_param(args.alpha, float(z)).value) for z in zs]
-    _emit_table(args, ("z", "ml_value"), rows)
+    values = np.empty_like(zs)
+    positive = zs > 0.0
+    # one vectorized call for z <= 0 (it rejects NaN); the series for z > 0
+    values[~positive] = ml_values(args.alpha, zs[~positive])
+    values[positive] = [ml_one_param(args.alpha, z).value for z in zs[positive]]
+    _emit_table(args, ("z", "ml_value"), zip(zs.tolist(), values.tolist()))
     return _EXIT_OK
 
 

@@ -1,19 +1,20 @@
 """Monte Carlo harness for event-stream statistics and jump chains.
 
-Each path owns a counter-based random stream: the path index is pushed
-through a 64-bit avalanche hash, xored into the master seed, hashed
-again, and the result keys a Philox generator.  Draws on one path
-depend only on the master seed and the path index, so a simulation is
-reproducible from the master seed alone.  Returned samples are sorted.
+Paths run in fixed blocks of ``_BLOCK``.  Block b draws from one Philox
+stream keyed by avalanche-hashing b, xoring in the master seed and
+hashing again, so the draws depend only on the master seed and the
+block index.  Returned samples are sorted.
 
-A path is simulated literally: waiting times are drawn until the epoch
-passes t (an event landing exactly at t is counted, matching the
-counting convention of the renewal module), the counted number of
-jumps is drawn, and the statistic is applied; an empty stream yields
-statistic zero.  Chains redraw the state at every event from a
-row-stochastic matrix; once an absorbing state is entered the remaining
-grid times are filled without drawing further waits, which matters for
-heavy-tailed waits whose next epoch can be astronomically far away.
+Within a block all live clocks advance in lock-step rounds of one wait
+per path; a path leaves once its clock passes the horizon (an event
+exactly at t is counted, as in the renewal module).  Each round then
+draws one jump per path whose event fell inside [0, t] and folds it into
+that path's sum or max; an empty stream yields zero.  Chains redraw the
+state of every surviving path each round and add its holding interval
+to a difference array over the grid; a path in an absorbing state draws
+nothing more, which matters for heavy-tailed waits whose next epoch can
+be astronomically far away.  Memory holds a few arrays of one block,
+whatever the horizon.
 
 The comparison side is an empirical cdf and the two-sided
 Kolmogorov-Smirnov distance against an analytic cdf, with the usual
@@ -43,6 +44,7 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+_BLOCK = 4096  # paths per counter-based stream
 
 
 def _avalanche(x: int) -> int:
@@ -53,9 +55,12 @@ def _avalanche(x: int) -> int:
     return (x ^ (x >> 31)) & _MASK64
 
 
-def _path_rng(master_seed: int, path_index: int) -> np.random.Generator:
-    key = _avalanche(master_seed ^ _avalanche(path_index))
-    return np.random.Generator(np.random.Philox(key=key))
+def _block_streams(master_seed: int, n_paths: int):
+    """Yield (generator, size) for each block of paths, in path order."""
+    for block, first in enumerate(range(0, n_paths, _BLOCK)):
+        key = _avalanche(master_seed ^ _avalanche(block))
+        size = min(_BLOCK, n_paths - first)
+        yield np.random.Generator(np.random.Philox(key=key)), size
 
 
 def _check_seed(seed) -> int:
@@ -89,38 +94,25 @@ class SimulationPlan:
         _check_seed(self.master_seed)
 
 
-def _count_events(law, rng: np.random.Generator, t: float) -> int:
-    """Events up to and including t on one path, drawing waits in batches."""
-    count = 0
-    elapsed = 0.0
-    batch = 8
-    while True:
-        waits = sample_waiting_time(law, rng, batch)
-        epochs = elapsed + np.cumsum(waits)
-        hits = int(np.searchsorted(epochs, t, side="right"))
-        count += hits
-        if hits < batch:
-            return count
-        elapsed = float(epochs[-1])
-        batch = min(2 * batch, 1024)
-
-
-def _statistic_path(plan: SimulationPlan, index: int) -> float:
-    rng = _path_rng(plan.master_seed, index)
-    n = _count_events(plan.ie_law, rng, plan.t) if plan.t > 0.0 else 0
-    if n == 0:
-        return 0.0
-    draws = plan.jump_law.sample(rng, n)
-    if plan.kind is StatisticKind.SUM:
-        return float(np.sum(draws))
-    return float(np.max(draws))
-
-
 def simulate_statistic(plan: SimulationPlan) -> np.ndarray:
     """Simulate the planned statistic; returns the sorted sample values."""
-    samples = np.fromiter(
-        (_statistic_path(plan, i) for i in range(plan.n_paths)), float, plan.n_paths
-    )
+    samples = np.zeros(plan.n_paths)
+    if plan.t == 0.0:
+        return samples
+    first = 0
+    for rng, size in _block_streams(_check_seed(plan.master_seed), plan.n_paths):
+        block = samples[first : first + size]  # a view: the block's statistics
+        clock = np.zeros(size)
+        live = np.arange(size)
+        while live.size:  # one round: one wait per path still inside [0, t]
+            clock[live] += sample_waiting_time(plan.ie_law, rng, live.size)
+            live = live[clock[live] <= plan.t]
+            jumps = plan.jump_law.sample(rng, live.size)
+            if plan.kind is StatisticKind.SUM:
+                block[live] += jumps
+            else:
+                block[live] = np.maximum(block[live], jumps)
+        first += size
     samples.sort()
     return samples
 
@@ -158,36 +150,31 @@ def simulate_chain(
     seed = _check_seed(master_seed)
 
     cum_rows = q.cumulative()
-    n_states = q.n_states
-
-    def path_states(index: int) -> np.ndarray:
-        rng = _path_rng(seed, index)
-        states = np.empty(grid.size, dtype=np.intp)
-        state = start
-        pos = 0
-        clock = 0.0
-        while pos < grid.size:
-            if q.matrix[state, state] == 1.0:
-                states[pos:] = state  # absorbed, no more draws needed
-                break
-            clock += sample_waiting_time(ie_law, rng)
-            while pos < grid.size and grid[pos] < clock:
-                states[pos] = state
-                pos += 1
-            if pos >= grid.size:
-                break
-            u = rng.random()
-            state = min(
-                int(np.searchsorted(cum_rows[state], u, side="right")),
-                n_states - 1,
-            )
-        return states
-
-    counts = np.zeros((n_states, grid.size), dtype=np.int64)
-    cols = np.arange(grid.size)
-    for i in range(n_paths):
-        counts[path_states(i), cols] += 1
-    return counts / float(n_paths)
+    absorbing = np.diag(q.matrix) == 1.0
+    width = grid.size + 1
+    # flat (state, grid index) differences: +1 where a holding interval
+    # starts, -1 one past its end; the extra column takes ends past the grid
+    diff = np.zeros(q.n_states * width, dtype=np.int64)
+    for rng, size in _block_streams(seed, n_paths):
+        state = np.full(size, start, dtype=np.intp)
+        pos = np.zeros(size, dtype=np.intp)  # first grid index not yet filled
+        clock = np.zeros(size)
+        while state.size:
+            held = absorbing[state]  # absorbed: hold to the end, draw no more
+            np.add.at(diff, state[held] * width + pos[held], 1)
+            state, pos, clock = state[~held], pos[~held], clock[~held]
+            clock += sample_waiting_time(ie_law, rng, state.size)
+            end = np.searchsorted(grid, clock, side="left")
+            np.add.at(diff, state * width + pos, 1)
+            np.add.at(diff, state * width + end, -1)
+            go = end < grid.size
+            state, pos, clock = state[go], end[go], clock[go]
+            u = rng.random(state.size)
+            redrawn = np.zeros_like(state)
+            for column in cum_rows[:, :-1].T:  # inverse cdf on each path's row
+                redrawn += column[state] <= u
+            state = redrawn
+    return np.cumsum(diff.reshape(q.n_states, width)[:, :-1], axis=1) / n_paths
 
 
 @dataclass(frozen=True)

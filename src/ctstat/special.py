@@ -247,7 +247,8 @@ def ml_one_param(alpha: float, z: float) -> MlEvaluation:
     if z > 0.0:
         # convergent but growing series; no asymptotic alternative here
         value, terms, est = _series_double(alpha, z)
-        if est > max(_TARGET, 1e-13 * abs(value)):
+        # an overflowed term makes value and est NaN, which no comparison catches
+        if not math.isfinite(value + est) or est > max(_TARGET, 1e-13 * abs(value)):
             raise AccuracyError(
                 f"series for E_{alpha}({z}) reached est_error={est:.2e}",
                 value=value,

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.special import gammainc
 
 from .errors import AccuracyError, CapabilityError, DomainError
@@ -78,6 +78,13 @@ _UNIFORM_EXACT_MAX_N = 15
 # grid-convolution refinement: start size, hard cap on doublings
 _GRID_START = 4096
 _GRID_MAX = 1 << 18
+
+
+def fftconvolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full linear convolution of two real 1-d arrays by FFT."""
+    n = a.size + b.size - 1
+    m = next_fast_len(n, real=True)
+    return irfft(rfft(a, m) * rfft(b, m), m)[:n]
 
 
 class StatisticKind(Enum):

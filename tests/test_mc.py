@@ -76,6 +76,14 @@ def test_seed_determinism_and_worker_equality():
     assert not np.array_equal(a, simulate_statistic(other))
 
 
+def test_numpy_integer_seed_matches_int_seed():
+    # any integer type the plan accepts must key the same streams
+    args = (StatisticKind.MAX, ExponentialJumps(1.0), Exponential(1.0), 2.0, 5000)
+    a = simulate_statistic(SimulationPlan(*args, 7))
+    b = simulate_statistic(SimulationPlan(*args, np.uint64(7)))
+    assert np.array_equal(a, b)
+
+
 def test_compound_sum_moments():
     # compound Poisson with unit exponential jumps: mean rt, variance 2rt
     plan = SimulationPlan(
@@ -164,17 +172,21 @@ def test_absorbing_chain_heavy_tailed_waits():
 
 def test_symmetric_chain_matches_marginal():
     # coin-flip switching: the simulated occupancy must agree with the
-    # count-mixture marginal, which here is (1 + e^{-t}) / 2
-    q = TransitionMatrix([[0.5, 0.5], [0.5, 0.5]])
+    # count-mixture marginal, which here is (1 + e^{-t}) / 2; a 3-state
+    # chain without absorption checks the redraw over more than two rows
+    coin = TransitionMatrix([[0.5, 0.5], [0.5, 0.5]])
+    three = TransitionMatrix([[0.2, 0.5, 0.3], [0.4, 0.1, 0.5], [0.3, 0.3, 0.4]])
     grid = np.array([0.5, 1.0, 2.0])
     n = 20_000
-    occ = simulate_chain(q, 0, Exponential(1.0), grid, n, 21)
-    ref = np.array(
-        [semi_markov_marginal(q, 0, Exponential(1.0), t, 1e-10)[0] for t in grid]
-    )
-    assert np.max(np.abs(ref - 0.5 * (1.0 + np.exp(-grid)))) < 1e-9
-    band = 3.0 * np.sqrt(ref * (1.0 - ref) / n)
-    assert np.all(np.abs(occ[0] - ref) <= band)
+    for q in (coin, three):
+        occ = simulate_chain(q, 0, Exponential(1.0), grid, n, 21)
+        ref = np.array(
+            [semi_markov_marginal(q, 0, Exponential(1.0), t, 1e-10)[0] for t in grid]
+        )
+        if q is coin:
+            assert np.max(np.abs(ref - 0.5 * (1.0 + np.exp(-grid)))) < 1e-9
+        band = 3.0 * np.sqrt(ref * (1.0 - ref) / n)
+        assert np.all(np.abs(occ[0] - ref) <= band), f"{q.matrix}"
 
 
 def test_ecdf_evaluator():

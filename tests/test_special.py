@@ -88,6 +88,14 @@ def test_positive_argument_half_order():
     assert r.value == pytest.approx(math.exp(4.0) * erfc(-2.0), rel=1e-13)
 
 
+@pytest.mark.parametrize("z", [10.0, 30.0])
+def test_positive_argument_overflow_raises(z):
+    # the growing series overflows to NaN long before E_{1/2}(30) ~ 1e391
+    # leaves the double range; that must raise, not return NaN
+    with pytest.raises(AccuracyError):
+        ml_one_param(0.5, z)
+
+
 def test_value_at_zero():
     r = ml_one_param(0.7, 0.0)
     assert r.value == 1.0

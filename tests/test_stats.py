@@ -1,12 +1,17 @@
 """Tests for jump laws and the sum/max statistics of the event stream."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import ctstat
 from ctstat.errors import AccuracyError, CapabilityError, DomainError
 from ctstat.laplace import InversionConfig, invert, marginal_symbol
 from ctstat.relax import PowerLawKernel, RelaxationProblem, solve_relaxation
@@ -685,3 +690,14 @@ def test_transition_matrix():
         TransitionMatrix([[0.7, 0.7], [0.5, 0.5]])
     with pytest.raises(DomainError):
         TransitionMatrix([[-0.1, 1.1], [0.5, 0.5]])
+
+
+def test_import_does_not_load_scipy_signal():
+    # scipy.signal (with the scipy.stats it loads) would triple the
+    # import time for one convolution; stats convolves on scipy.fft
+    env = {**os.environ, "PYTHONPATH": str(Path(ctstat.__file__).parents[1])}
+    code = "import sys, ctstat; print('scipy.signal' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
