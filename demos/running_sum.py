@@ -4,7 +4,7 @@ Evaluates the analytic mixture-over-counts cdf for unit exponential
 jumps, then replays the same law by brute-force simulation and prints
 both next to each other.  The last block repeats the comparison with
 Pareto jumps, where no closed convolution exists and the analytic
-column comes from the internal grid engine.
+column comes from the count generating function on a jump lattice.
 """
 
 import numpy as np
@@ -40,7 +40,7 @@ plan = SimulationPlan(StatisticKind.SUM, pareto, Exponential(1.0), t, 200_000, 4
 samples = simulate_statistic(plan)
 
 print()
-print(f"same stream, Pareto(1, 2.5) jumps (grid-convolution path)")
+print(f"same stream, Pareto(1, 2.5) jumps (lattice path)")
 print(f"{'u':>6} {'analytic':>12} {'simulated':>12}")
 for u, val in zip(levels, analytic):
     emp = float(np.mean(samples <= u))

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammainc, gammaln
 
-from .errors import DomainError
+from .errors import AccuracyError, DomainError
 from .special import ml_survival, ml_values
 
 __all__ = [
@@ -259,10 +259,13 @@ def counting_pmf(
     the table is extended until it holds at least ``mass_target`` of the
     mass (default ``1 - 1e-6``, hard cap 10000 entries).
 
-    Exponential waits use the Poisson closed form.  Mittag-Leffler waits
-    invert the transform (1 - d(s))/s * d(s)^n on the Talbot contour,
-    which carries ~1e-10 absolute error per entry; tiny negative results
-    of the quadrature are clipped to zero.
+    Exponential waits, and Mittag-Leffler waits of order one, use the
+    Poisson closed form.  Other Mittag-Leffler waits invert the
+    transform (1 - d(s))/s * d(s)^n on the Talbot contour, which carries
+    ~1e-10 absolute error per entry; tiny negative results of the
+    quadrature are clipped to zero.  A table and its tail must account
+    for the whole mass within the budget ``1 - mass_target``; otherwise
+    AccuracyError carries the table and the gap.
     """
     if not (0.0 <= t < math.inf):
         raise DomainError(f"time must be non-negative and finite, got {t}")
@@ -273,8 +276,9 @@ def counting_pmf(
     elif not (0.0 < mass_target < 1.0):
         raise DomainError(f"mass_target must lie in (0, 1), got {mass_target}")
 
-    if isinstance(law, Exponential):
-        mu = law.rate * t
+    order_one = isinstance(law, MittagLeffler) and law.order == 1.0  # Exponential(1)
+    if isinstance(law, Exponential) or order_one:
+        mu = (1.0 if order_one else law.rate) * t
 
         def entry(n: int) -> float:
             return float(_poisson_pmf(mu, np.asarray(n)))
@@ -323,6 +327,14 @@ def counting_pmf(
             if acc >= mass_target:
                 break
     table = np.asarray(probs, dtype=float)
-    return CountingPmfTable(
-        law=law, t=t, probabilities=table, tail_bound=tail_beyond(len(table) - 1)
-    )
+    tail = tail_beyond(len(table) - 1)
+    # also catches a table whose entries alone sum past 1 + budget
+    gap = abs(1.0 - math.fsum(table) - tail)
+    if gap > 1.0 - mass_target:
+        raise AccuracyError(
+            f"count table at t={t} and its tail miss unit mass by {gap:.3e}, "
+            f"above the budget {1.0 - mass_target:.3e}",
+            value=table,
+            est_error=gap,
+        )
+    return CountingPmfTable(law=law, t=t, probabilities=table, tail_bound=tail)

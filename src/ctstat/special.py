@@ -88,6 +88,7 @@ def _series_double(alpha: float, z: float) -> tuple[float, int, float]:
     Returns (value, terms, est_error); est_error tracks both the
     truncation tail and the cancellation floor eps * sum|t_n|.
     """
+    z = float(z)  # a Python float overflows to inf without a warning
     terms = [1.0]
     abs_sum = 1.0
     weighted_abs = 0.0  # sum n*|t_n|, drives the power-chain rounding estimate
@@ -97,6 +98,10 @@ def _series_double(alpha: float, z: float) -> tuple[float, int, float]:
     tail = 0.0
     while n <= _SERIES_MAX_TERMS:
         power *= z
+        if not math.isfinite(power):
+            # z^n left double range before the terms became negligible;
+            # an infinite estimate makes the caller reject the sum
+            return math.fsum(terms), n, math.inf
         t = power * rgamma(alpha * n + 1.0)
         terms.append(t)
         mag = abs(t)
@@ -247,7 +252,7 @@ def ml_one_param(alpha: float, z: float) -> MlEvaluation:
     if z > 0.0:
         # convergent but growing series; no asymptotic alternative here
         value, terms, est = _series_double(alpha, z)
-        # an overflowed term makes value and est NaN, which no comparison catches
+        # a power past double range stops the series with est = inf
         if not math.isfinite(value + est) or est > max(_TARGET, 1e-13 * abs(value)):
             raise AccuracyError(
                 f"series for E_{alpha}({z}) reached est_error={est:.2e}",

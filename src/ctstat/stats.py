@@ -18,12 +18,16 @@ max law; no count table is summed for it.  Unit-rate exponential waits
 with unit-rate exponential jumps give the classical double-exponential
 law exp(-t * exp(-w)).
 
-The sum mixture is summed term by term whenever the jump law has an
-exact n-fold cdf: Erlang for exponential jumps, lattice steps for
-degenerate jumps, the alternating polynomial form for uniform jumps
-(numerically safe only up to moderate n).  In all other cases the
-convolution powers are built on a uniform grid by FFT convolution and
-the reported error bound is taken from a step-halving comparison.
+The sum mixture has two routes.  Jump laws with an exact n-fold cdf
+(Erlang for exponential jumps, lattice steps for degenerate jumps) are
+summed term by term.  Uniform and Pareto jumps instead apply the count
+generating function G(z) = sum_n pmf_n z^n to the transform of the jump
+law discretized on a lattice, so that one FFT pair yields every
+convolution power at once (Embrechts & Frei 2009): the lattice is
+aligned with the breakpoints of the jump law, tilted against
+wrap-around, corrected exactly for a single jump and extrapolated in
+the step by Richardson's rule, whose last correction is the reported
+error estimate.
 
 Each statistic also has a one-number transform of its jump law: the
 Laplace-Stieltjes value for the sum, the plain cdf value for the max.
@@ -71,20 +75,15 @@ __all__ = [
     "semi_markov_marginal",
 ]
 
-# the alternating n-fold form for uniform jumps loses ~eps * max_term
-# to cancellation; beyond this n the grid path is more accurate
-_UNIFORM_EXACT_MAX_N = 15
+# accuracy of one exact n-fold cdf (incomplete gamma, lattice step)
+_EXACT_TERM_ERROR = 1e-14
 
-# grid-convolution refinement: start size, hard cap on doublings
-_GRID_START = 4096
-_GRID_MAX = 1 << 18
-
-
-def fftconvolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Full linear convolution of two real 1-d arrays by FFT."""
-    n = a.size + b.size - 1
-    m = next_fast_len(n, real=True)
-    return irfft(rfft(a, m) * rfft(b, m), m)[:n]
+# sum lattice: cells per jump-law piece at the coarsest step, cap on the
+# cells of the finest step, padding factor and tilt (theta * length)
+_CELLS_PER_PIECE = 64
+_LATTICE_MAX_CELLS = 1 << 19
+_PAD = 3
+_TILT = 20.0
 
 
 class StatisticKind(Enum):
@@ -100,11 +99,13 @@ def _positive(name: str, value: float) -> None:
 
 
 def _check_jump_law(jumps) -> None:
-    for attr in ("cdf", "sf", "lst", "nfold_cdf", "nfold_error", "sample"):
+    for attr in ("cdf", "sf", "lst", "sample"):
         if not callable(getattr(jumps, attr, None)):
             raise DomainError(
                 f"jump law {jumps!r} lacks a callable {attr!r} method"
             )
+    if not (callable(getattr(jumps, "nfold_cdf", None)) or hasattr(jumps, "piece")):
+        raise DomainError(f"jump law {jumps!r} has neither 'nfold_cdf' nor 'piece'")
 
 
 def _nonnegative_array(x, name: str):
@@ -149,9 +150,6 @@ class ExponentialJumps:
             return (np.asarray(x, dtype=float) >= 0.0).astype(float)
         return gammainc(n, self.rate * np.maximum(np.asarray(x, dtype=float), 0.0))
 
-    def nfold_error(self, n: int) -> float:
-        return 1e-14
-
     def sample(self, rng: np.random.Generator, size=None):
         return _draw(rng, size, lambda n: -np.log(1.0 - rng.random(n)) / self.rate)
 
@@ -168,6 +166,11 @@ class UniformJumps:
     @property
     def mean(self) -> float:
         return 0.5 * self.upper
+
+    @property
+    def piece(self) -> float:
+        """Spacing of the breakpoints of every n-fold law."""
+        return self.upper
 
     def cdf(self, x):
         return np.clip(np.asarray(x, dtype=float) / self.upper, 0.0, 1.0)
@@ -191,36 +194,6 @@ class UniformJumps:
             vals = -np.expm1(-safe) / safe
         out = np.where(sb == 0.0, 1.0, vals)
         return out if out.ndim else out[()]
-
-    def nfold_cdf(self, x, n: int):
-        """Alternating polynomial form of the n-fold cdf.
-
-        The terms C(n, k) (x/b - k)^n / n! alternate in sign and grow
-        with n while the result stays in [0, 1], so cancellation limits
-        this to small n; callers switch to grid convolution beyond
-        _UNIFORM_EXACT_MAX_N.
-        """
-        if n == 0:
-            return (np.asarray(x, dtype=float) >= 0.0).astype(float)
-        if n > _UNIFORM_EXACT_MAX_N:
-            raise CapabilityError(
-                f"exact uniform n-fold cdf is unstable for n={n} "
-                f"(limit {_UNIFORM_EXACT_MAX_N})"
-            )
-        y = np.clip(np.asarray(x, dtype=float) / self.upper, 0.0, float(n))
-        acc = np.zeros_like(y)
-        fact = float(math.factorial(n))
-        for k in range(n + 1):
-            shifted = np.maximum(y - k, 0.0)
-            coeff = ((-1.0) ** k) * (math.comb(n, k) / fact)
-            acc += coeff * shifted**n
-        return np.clip(acc, 0.0, 1.0)
-
-    def nfold_error(self, n: int) -> float:
-        # cancellation loss ~ n * eps * max term, max term ~ e^n / sqrt(2 pi n)
-        if n == 0:
-            return 0.0
-        return 2.3e-16 * math.sqrt(n / (2.0 * math.pi)) * math.exp(n)
 
     def sample(self, rng: np.random.Generator, size=None):
         return _draw(rng, size, lambda n: self.upper * (1.0 - rng.random(n)))
@@ -248,6 +221,11 @@ class ParetoJumps:
             return math.inf
         return self.scale * self.exponent / (self.exponent - 1.0)
 
+    @property
+    def piece(self) -> float:
+        """Spacing of the breakpoints of every n-fold law."""
+        return self.scale
+
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
         ratio = self.scale / np.maximum(x, self.scale)
@@ -266,19 +244,6 @@ class ParetoJumps:
         raise CapabilityError(
             "Pareto jumps have no elementary Laplace-Stieltjes transform"
         )
-
-    def nfold_cdf(self, x, n: int):
-        if n == 0:
-            return (np.asarray(x, dtype=float) >= 0.0).astype(float)
-        if n == 1:
-            return self.cdf(x)
-        raise CapabilityError(
-            "Pareto convolution powers have no closed form; "
-            "use the grid path of mixture_cdf"
-        )
-
-    def nfold_error(self, n: int) -> float:
-        return 0.0 if n <= 1 else math.inf
 
     def sample(self, rng: np.random.Generator, size=None):
         return _draw(
@@ -312,9 +277,6 @@ class DegenerateJumps:
 
     def nfold_cdf(self, x, n: int):
         return (np.asarray(x, dtype=float) >= n * self.value).astype(float)
-
-    def nfold_error(self, n: int) -> float:
-        return 0.0
 
     def sample(self, rng: np.random.Generator, size=None):
         return _draw(rng, size, lambda n: np.full(n, self.value))
@@ -359,11 +321,12 @@ def mixture_cdf(kind: StatisticKind, jumps, waits, t: float, u, tol: float = 1e-
     function at F(u), which the waiting law evaluates in closed form
     (see :func:`max_cdf`) within the 1e-10 guarantee of the
     Mittag-Leffler evaluator, so ``tol`` governs the sum only.  The sum
-    mixture sum_n pmf_n(t) * F*n(u) is summed over a count table built
-    to hold all but a quarter of ``tol`` of the mass, and raises
-    AccuracyError when its total error bound cannot be pushed below
-    ``tol``.  Scalar ``u`` gives a float, an array gives an array of the
-    same shape.
+    reads a count table built to hold all but a quarter of ``tol`` of
+    the mass, either term by term (exponential and degenerate jumps) or
+    through its generating function on a jump lattice (uniform and
+    Pareto jumps), and raises AccuracyError when its total error bound
+    cannot be pushed below ``tol``.  Scalar ``u`` gives a float, an
+    array gives an array of the same shape.
     """
     if not isinstance(kind, StatisticKind):
         raise DomainError(f"kind must be a StatisticKind, got {kind!r}")
@@ -390,16 +353,14 @@ def _max_mixture(jumps, waits, t: float, w):
 def _sum_mixture(table: CountingPmfTable, jumps, u, tol: float):
     """Cdf of the random sum with event counts drawn from ``table``.
 
-    Evaluates sum_n pmf_n * F*n(u).  Jump laws with an exact n-fold cdf
-    for every table entry are summed directly; otherwise the convolution
-    powers are built on a uniform grid at two resolutions and the
-    difference between them is charged to the error bound.  Raises
-    AccuracyError, carrying the best values, when the bound cannot be
-    pushed below ``tol``; the count mass beyond the table
-    (``table.tail_bound``) is always part of the bound.
+    Jump laws with an exact n-fold cdf are summed term by term,
+    sum_n pmf_n * F*n(u).  All others go through the jump lattice of
+    :func:`_lattice_mixture`, whose extrapolation estimate enters the
+    bound.  The count mass beyond the table (``table.tail_bound``) is
+    always part of the bound; AccuracyError, carrying the best values,
+    is raised when the bound exceeds ``tol``.
     """
     u_arr, scalar = _nonnegative_array(u, "u")
-
     pmf = table.probabilities
     tail = table.tail_bound
     if tail >= tol:
@@ -408,87 +369,102 @@ def _sum_mixture(table: CountingPmfTable, jumps, u, tol: float):
             value=None,
             est_error=tail,
         )
-
-    values = pmf[0] * np.ones_like(u_arr)
-    est = tail
-    for n in range(1, len(pmf)):
-        term_err = _nfold_term_error(jumps, n, pmf[n])
-        try:
-            if est + term_err > tol:
-                raise CapabilityError("exact n-fold error budget exhausted")
-            values = values + pmf[n] * jumps.nfold_cdf(u_arr, n)
-            est += term_err
-        except CapabilityError:
-            # terms from n on contribute between zero and the leftover
-            # count mass; truncate if that fits the budget, else add the
-            # remaining terms from the grid (their small weights scale
-            # the grid error down with them)
-            leftover = float(pmf[n:].sum())
-            if est + leftover <= tol:
-                est += leftover
-            else:
-                partial, grid_est = _grid_mixture(pmf, jumps, u_arr, tol - est, n)
-                values = values + partial
-                est += grid_est
-            break
-
+    if callable(getattr(jumps, "nfold_cdf", None)):
+        values = sum(p * jumps.nfold_cdf(u_arr, n) for n, p in enumerate(pmf))
+        est = tail + _EXACT_TERM_ERROR
+    else:
+        values, est = _lattice_mixture(pmf, jumps, u_arr, tol - tail)
+        est += tail
+    if values is not None and scalar:
+        values = float(values[()])
     if est > tol:
         raise AccuracyError(
             f"sum cdf error bound {est:.3e} exceeds tol={tol:.3e}",
-            value=float(values[()]) if scalar else values,
+            value=values,
             est_error=est,
         )
     values = np.clip(values, 0.0, 1.0)
-    return float(values[()]) if scalar else values
+    return float(values) if scalar else values
 
 
-def _nfold_term_error(jumps, n: int, weight: float) -> float:
-    err = jumps.nfold_error(n)
-    if not math.isfinite(err):
-        return math.inf if weight > 0.0 else 0.0
-    return weight * err
+def _half_cells(mass: np.ndarray) -> np.ndarray:
+    """Cdf at the nodes of a lattice law whose node masses stand for
+    their cells: the cells below plus half the node's own, and zero at
+    node 0, where a positive jump puts no mass."""
+    out = np.cumsum(mass) - 0.5 * mass
+    out[0] = 0.0
+    return out
 
 
-def _grid_mixture(pmf, jumps, u_arr, budget, n_lo):
-    """Partial mixture sum over n >= n_lo of pmf_n * F*n(u), on a grid.
+def _lattice_level(pmf: np.ndarray, jumps, h: float, m: int) -> np.ndarray:
+    """Sum cdf less its single-jump term, at the nodes 0..m of step h.
 
-    Convolution powers are built iteratively on [0, max(u)] with the
-    jump law discretized as cell masses F(y + h/2) - F(y - h/2), a
-    midpoint rule in the measure that stays second order even when the
-    density jumps (as the uniform one does at its endpoint).  The grid
-    is doubled until two consecutive resolutions agree within the
-    budget; the last difference is the returned error estimate.
+    The jump law becomes midpoint cell masses f_j = F(jh + h/2) -
+    F(jh - h/2).  Tilting them by exp(-theta y), with theta times the
+    padded length equal to _TILT, damps what the circular FFT wraps
+    around by exp(-_TILT); G - pmf_0 applied to their transform gives
+    every convolution power with its count weight in one pass.  The
+    single-jump term pmf_1 * F, whose jump in density the half-cell
+    reading renders only to first order, is taken out here and added
+    back exactly by the caller.
     """
-    u_max = float(u_arr.max()) if u_arr.size else 0.0
-    if u_max == 0.0 or n_lo >= len(pmf):
-        # positive jumps put no n >= 1 mass at or below zero
-        return np.zeros_like(u_arr), 0.0
+    f = np.diff(np.asarray(jumps.cdf(h * (np.arange(m + 1) + 0.5)), dtype=float), prepend=0.0)
+    n = next_fast_len(_PAD * (m + 1), real=True)
+    tilt = np.exp(-_TILT / n * np.arange(m + 1))
+    phi = rfft(f * tilt, n)
+    g = np.zeros_like(phi)
+    for p in pmf[:0:-1]:  # Horner: sum_{n >= 1} pmf_n phi^n
+        g = (g + p) * phi
+    c = irfft(g, n)[: m + 1] / tilt
+    return pmf[0] + _half_cells(c) - pmf[1] * _half_cells(f)
 
-    def level(m: int):
-        grid = np.linspace(0.0, u_max, m + 1)
-        h = u_max / m
-        mass = np.asarray(
-            jumps.cdf(grid + 0.5 * h) - jumps.cdf(grid - 0.5 * h), dtype=float
-        )
-        power = np.asarray(jumps.cdf(grid), dtype=float)
-        acc = pmf[1] * power if n_lo <= 1 else np.zeros_like(power)
-        for n in range(2, len(pmf)):
-            power = np.clip(fftconvolve(power, mass)[: m + 1], 0.0, 1.0)
-            if n >= n_lo:
-                acc = acc + pmf[n] * power
-        return np.interp(u_arr, grid, acc)
 
-    m = _GRID_START
-    prev = level(m)
-    est = math.inf
-    while m < _GRID_MAX:
-        m *= 2
-        cur = level(m)
-        est = float(np.max(np.abs(cur - prev))) if u_arr.size else 0.0
-        prev = cur
-        if est <= 0.25 * budget:
-            break
-    return prev, est
+def _lattice_mixture(pmf: np.ndarray, jumps, u_arr: np.ndarray, budget: float):
+    """sum_n pmf_n * F*n(u) from the count generating function on a
+    lattice, with its error estimate.
+
+    The domain [0, max u] is widened to whole pieces of the jump law
+    (``jumps.piece``), at whose multiples the n-fold laws have their
+    breakpoints, or cut where the table's sums of bounded jumps end; the
+    coarse step is a 64th of a piece.  Levels at steps h, h/2, h/4, ...
+    are read on the coarse nodes and combined by Richardson's rule,
+    R = (4 L_{h/2} - L_h) / 3; levels are added while the last change
+    in R (the estimate) exceeds ``budget`` and the finest lattice stays
+    within _LATTICE_MAX_CELLS.  Off-node u are read by 4-point Lagrange
+    interpolation inside one piece, and the single-jump term
+    pmf_1 * F(u) is added exactly.  Returns (values, est), values None
+    when not even the coarse lattice fits the cap.
+    """
+    pmf = np.append(pmf, 0.0)  # pmf[1] exists even for a one-entry table
+    b = float(jumps.piece)
+    k = _CELLS_PER_PIECE
+    pieces = max(1, math.ceil(float(u_arr.max(initial=0.0)) / b))
+    if float(jumps.sf(b)) == 0.0:
+        # jumps of at most one piece: the table's sums end within pmf.size pieces
+        pieces = min(pieces, pmf.size)
+    levels, extrap, est = [], [], math.inf
+    while est > budget and pieces * k << len(levels) <= _LATTICE_MAX_CELLS:
+        step = 1 << len(levels)
+        levels.append(_lattice_level(pmf, jumps, b / (k * step), pieces * k * step)[::step])
+        if len(levels) > 1:
+            extrap.append((4.0 * levels[-1] - levels[-2]) / 3.0)
+        if len(extrap) > 1:
+            est = float(np.max(np.abs(extrap[-1] - extrap[-2])))
+    if not levels:
+        return None, est
+    best = (extrap or levels)[-1]
+    u_in = np.minimum(u_arr, pieces * b)  # the lattice part is flat beyond its domain
+    x = u_in * (k / b)
+    first = k * np.minimum(np.floor(u_in / b), pieces - 1)  # first node of u's piece
+    i = np.clip(np.floor(x) - 1.0, first, first + k - 3).astype(int)
+    s = x - i
+    values = (
+        -(s - 1.0) * (s - 2.0) * (s - 3.0) / 6.0 * best[i]
+        + s * (s - 2.0) * (s - 3.0) / 2.0 * best[i + 1]
+        - s * (s - 1.0) * (s - 3.0) / 2.0 * best[i + 2]
+        + s * (s - 1.0) * (s - 2.0) / 6.0 * best[i + 3]
+    )
+    return values + pmf[1] * np.asarray(jumps.cdf(u_arr), dtype=float), est
 
 
 def sum_cdf_series(jumps, rate: float, t: float, u, tol: float = 1e-8):

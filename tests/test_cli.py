@@ -193,6 +193,20 @@ def test_chain_absorbing_marginals(capsys):
         assert float(p01_text) == pytest.approx(-math.expm1(-t), abs=1e-7)
 
 
+
+def test_chain_unit_order_matches_exponential_waits(capsys):
+    base = ["chain", "--q", "0.3,0.7;0.5,0.5", "--tmax", "100", "--points", "5",
+            "--tol", "1e-8"]
+    code, out_ml, _ = run(capsys, base + ["--alpha", "1"])
+    assert code == 0
+    code, out_exp, _ = run(capsys, base + ["--waits", "exp:1"])
+    assert code == 0
+    rows_ml, rows_exp = parse_csv(out_ml)[2], parse_csv(out_exp)[2]
+    assert len(rows_ml) == len(rows_exp) == 5
+    for row_ml, row_exp in zip(rows_ml, rows_exp):
+        for a, b in zip(row_ml, row_exp):
+            assert abs(float(a) - float(b)) <= 1e-8
+
 def test_solve_power_law_tracks_survival(capsys):
     code, out, _ = run(
         capsys,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import poisson
 
-from ctstat.errors import DomainError
+from ctstat.errors import AccuracyError, DomainError
 from ctstat.renewal import (
     CountingPmfTable,
     EpochSequence,
@@ -164,6 +164,25 @@ def test_counting_pmf_unit_order_matches_poisson():
     ref = poisson.pmf(np.arange(11), 2.0)
     assert np.max(np.abs(tab.probabilities - ref)) < 1e-9
 
+
+
+def test_counting_pmf_unit_order_long_horizons():
+    # order one is Exponential(1); its tables once summed to 1.077,
+    # 13.08 and 2.99 at these horizons
+    for t in (50.0, 100.0, 200.0):
+        tab = counting_pmf(MittagLeffler(1.0), t)
+        ref = poisson.pmf(np.arange(len(tab)), t)
+        assert np.max(np.abs(tab.probabilities - ref)) < 1e-12
+
+
+def test_counting_pmf_mass_gate_raises():
+    # near order one the inverted entries stop conserving mass; the table
+    # must raise, carrying itself and its gap, instead of passing through
+    with pytest.raises(AccuracyError) as info:
+        counting_pmf(MittagLeffler(0.95), 100.0)
+    assert info.value.est_error > 1e-6
+    total = info.value.value.sum()
+    assert abs(1.0 - total) > 1e-6
 
 def test_counting_pmf_at_zero():
     tab = counting_pmf(MittagLeffler(0.6), 0.0)

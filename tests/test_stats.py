@@ -1,5 +1,6 @@
 """Tests for jump laws and the sum/max statistics of the event stream."""
 
+import importlib.util
 import math
 import os
 import subprocess
@@ -30,7 +31,7 @@ from ctstat.stats import (
     statistic_transform,
     sum_cdf_series,
 )
-from ctstat.stats import _grid_mixture, _sum_mixture
+from ctstat.stats import _lattice_mixture, _sum_mixture
 
 # Sum-statistic cdf for unit exponential waits and unit exponential
 # jumps at t = 2, from 60-digit numerical inversion of the compound
@@ -44,8 +45,7 @@ EXP_SUM_ORACLE = [
 
 # Same statistic with uniform(0, 1] jumps, from the exact count mixture
 # evaluated term by term in 60-digit arithmetic (the alternating n-fold
-# polynomial is exact there).  rt = 2 stays on the closed-form path,
-# rt = 6 needs convolution powers past the double-precision limit.
+# polynomial is exact there).  rt = 2 and rt = 6: few and many counts.
 UNIF_SUM_ORACLE_RT2 = [
     (0.5, 0.30850832255367104),
     (1.0, 0.57549311069894668),
@@ -58,7 +58,8 @@ UNIF_SUM_ORACLE_RT6 = [
     (6.0, 0.97159314631131882),
 ]
 
-# n-fold cdf of uniform(0, 1] jumps, exact rational evaluation
+# n-fold cdf of uniform(0, 1] jumps, exact rational evaluation; checks
+# the extended-precision Irwin-Hall oracle below
 IRWIN_HALL_ORACLE = [
     (2, 0.75, 0.28125),
     (2, 1.0, 0.5),
@@ -66,6 +67,44 @@ IRWIN_HALL_ORACLE = [
     (10, 3.2, 0.023784362880169324),
     (15, 7.0, 0.32887986932232964),
 ]
+
+
+def _load_bench_oracles():
+    path = Path(__file__).parents[1] / "perfbench" / "oracles.py"
+    spec = importlib.util.spec_from_file_location("bench_oracles", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+BENCH_ORACLES = _load_bench_oracles()
+
+
+def irwin_hall_mp(n, y):
+    """P(U_1 + .. + U_n <= y), U_i uniform on (0, 1], by the exact
+    alternating sum; call inside a raised mpmath precision."""
+    if n == 0:
+        return mpmath.mpf(1)
+    y = mpmath.mpf(y)
+    top = min(n, int(mpmath.floor(y)))
+    acc = mpmath.fsum(
+        (-1) ** k * mpmath.binomial(n, k) * (y - k) ** n for k in range(top + 1)
+    )
+    return acc / mpmath.factorial(n)
+
+
+def irwin_hall_poisson_mp(mu, upper, u, dps=40):
+    """P(S <= u) for a Poisson(mu) sum of uniform(0, upper] jumps."""
+    with mpmath.workdps(dps):
+        y = mpmath.mpf(u) / mpmath.mpf(upper)
+        weight = mpmath.exp(-mpmath.mpf(mu))
+        total, n = weight, 0
+        # F*n(y) <= y^n / n!, so the terms left are bounded by the last
+        while n < mu or weight * min(1, y**n / mpmath.factorial(n)) > 1e-30:
+            n += 1
+            weight *= mpmath.mpf(mu) / n
+            total += weight * irwin_hall_mp(n, y)
+        return float(total)
 
 
 def ml_series_mp(a, z, dps=60):
@@ -168,31 +207,11 @@ def test_erlang_nfold():
     assert float(ej.nfold_cdf(5.0, 0)) == 1.0
 
 
-def test_uniform_nfold_against_exact_values():
-    uj = UniformJumps(1.0)
-    for n, x, ref in IRWIN_HALL_ORACLE:
-        got = float(uj.nfold_cdf(x, n))
-        assert got == pytest.approx(ref, abs=5.0 * uj.nfold_error(n) + 1e-15)
-    # the stability bound must cover the worst observed loss at the cap
-    assert uj.nfold_error(15) > 5e-10
-    with pytest.raises(CapabilityError):
-        uj.nfold_cdf(3.0, 16)
-
-
 def test_degenerate_nfold_is_lattice():
     dj = DegenerateJumps(0.5)
     x = np.array([0.0, 0.49, 0.5, 1.49, 1.5])
     assert np.array_equal(dj.nfold_cdf(x, 3), [0.0, 0.0, 0.0, 0.0, 1.0])
     assert np.array_equal(dj.nfold_cdf(x, 0), np.ones(5))
-
-
-def test_pareto_nfold_refusal():
-    pj = ParetoJumps(1.0, 2.5)
-    assert float(pj.nfold_cdf(3.0, 1)) == pytest.approx(
-        1.0 - 3.0**-2.5, abs=1e-15
-    )
-    with pytest.raises(CapabilityError):
-        pj.nfold_cdf(3.0, 2)
 
 
 def test_jump_sampling_matches_cdf():
@@ -249,8 +268,8 @@ def test_sum_cdf_uniform_jumps_exact_path():
 
 
 def test_sum_cdf_uniform_jumps_beyond_exact_cap():
-    # rate * t = 6 pushes the count table past the stable n-fold range,
-    # exercising the truncation/grid handover
+    # rate * t = 6 puts weight on counts past 15, where an n-fold
+    # polynomial in double precision would lose its digits
     got = sum_cdf_series(
         UniformJumps(1.0),
         3.0,
@@ -287,7 +306,7 @@ def test_sum_mixture_heavy_tailed_waits():
 
 def test_grid_engine_against_quadrature():
     # the two-fold Pareto cdf has no closed form; adaptive quadrature of
-    # int F(u - y) dF(y) is an independent reference for the grid engine
+    # int F(u - y) dF(y) is an independent reference for the lattice
     pj = ParetoJumps(1.0, 2.5)
 
     def two_fold(u):
@@ -305,10 +324,66 @@ def test_grid_engine_against_quadrature():
 
     u = np.array([2.5, 4.0, 8.0])
     pmf = np.array([0.0, 0.0, 1.0])
-    got, est = _grid_mixture(pmf, pj, u, budget=1e-7, n_lo=2)
+    got, est = _lattice_mixture(pmf, pj, u, 1e-7)
     ref = np.array([two_fold(x) for x in u])
     assert est < 1e-7
     assert np.max(np.abs(got - ref)) < 1e-7
+
+
+def test_irwin_hall_oracle_exact_values():
+    with mpmath.workdps(40):
+        for n, x, ref in IRWIN_HALL_ORACLE:
+            assert float(irwin_hall_mp(n, x)) == pytest.approx(ref, abs=1e-16)
+
+
+def test_lattice_uniform_poisson_against_irwin_hall():
+    # bench-shaped: uniform(0, 1.3] jumps, Poisson(18) counts, 101 levels
+    # over the bulk of the law, against the exact mixture in 40 digits
+    tol = 1e-8
+    u = np.linspace(0.0, 16.6, 101)
+    got = sum_cdf_series(UniformJumps(1.3), 1.0, 18.0, u, tol=tol)
+    ref = np.array([irwin_hall_poisson_mp(18.0, 1.3, x) for x in u])
+    assert np.max(np.abs(got - ref)) < tol
+
+
+def test_lattice_uniform_mittag_leffler_against_prabhakar():
+    # heavy-tailed counts put large weight on one jump, where the
+    # single-jump term must be exact; the oracle mixes cardinal
+    # B-splines over the Prabhakar pmf
+    tol = 1e-8
+    u = np.linspace(0.0, 36.0, 101)
+    got = mixture_cdf(StatisticKind.SUM, UniformJumps(1.0), MittagLeffler(0.7), 50.0, u, tol=tol)
+    pmf = BENCH_ORACLES.fractional_pmf_cover(0.7, 50.0)
+    ref = BENCH_ORACLES.irwin_hall_mixture_cdf(pmf, 1.0, u)
+    assert np.max(np.abs(got - ref)) < tol
+
+
+def test_lattice_off_node_reads_within_estimate():
+    table = counting_pmf(Exponential(1.0), 18.0, mass_target=1.0 - 1e-10)
+    u = np.random.default_rng(77).uniform(0.0, 16.6, 200)
+    got, est = _lattice_mixture(table.probabilities, UniformJumps(1.3), u, 1e-8)
+    ref = BENCH_ORACLES.irwin_hall_mixture_cdf(table.probabilities, 1.3, u)
+    assert est < 1e-8
+    assert np.max(np.abs(got - ref)) <= est
+
+
+def test_lattice_far_beyond_bounded_jumps():
+    # u spans 1100 jump widths, but sums of the table's counts end within
+    # a few dozen; the lattice stops there and the cdf stays flat beyond
+    tol = 1e-8
+    u = np.concatenate([np.linspace(0.0, 11.0, 101), [0.025, 0.073]])
+    got = sum_cdf_series(UniformJumps(0.01), 1.0, 2.0, u, tol=tol)
+    ref = BENCH_ORACLES.irwin_hall_mixture_cdf(BENCH_ORACLES.poisson_pmf_cover(2.0), 0.01, u)
+    assert np.max(np.abs(got - ref)) < tol
+
+def test_lattice_unreachable_tolerance_raises_with_values():
+    u = np.linspace(0.0, 3.0, 7)
+    with pytest.raises(AccuracyError) as info:
+        sum_cdf_series(UniformJumps(1.0), 1.0, 2.0, u, tol=1e-14)
+    assert info.value.est_error > 1e-14
+    assert info.value.value.shape == u.shape
+    ref = np.array([irwin_hall_poisson_mp(2.0, 1.0, x) for x in u])
+    assert np.max(np.abs(info.value.value - ref)) < 1e-9
 
 
 def test_sum_cdf_pareto_grid_path_vs_sampling():
