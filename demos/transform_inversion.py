@@ -12,7 +12,6 @@ import numpy as np
 
 from ctstat import (
     Exponential,
-    InversionConfig,
     MittagLeffler,
     counting_pmf,
     counting_symbol,
@@ -22,27 +21,23 @@ from ctstat import (
     survival_symbol,
 )
 
-stehfest = InversionConfig()
-talbot = InversionConfig(method="talbot")
-
 print("exponential law, density e^{-t} recovered at t = 1:")
 sym = density_symbol(Exponential(1.0))
-for name, cfg in (("stehfest", stehfest), ("talbot", talbot)):
-    got = invert(sym, 1.0, cfg)
-    print(f"  {name:9}: {got:.12f}  (gap {abs(got - math.exp(-1.0)):.2e})")
+for method in ("stehfest", "talbot"):
+    got = invert(sym, 1.0, method=method)
+    print(f"  {method:9}: {got:.12f}  (gap {abs(got - math.exp(-1.0)):.2e})")
 
 print()
 print("heavy-tail survival at several times, talbot contour:")
 law = MittagLeffler(0.7)
 sym = survival_symbol(law)
-for t in (0.5, 2.0, 10.0):
-    got = invert(sym, t, talbot)
-    ref = ml_survival(0.7, t)
+times = np.array([0.5, 2.0, 10.0])
+for t, got, ref in zip(times, invert(sym, times, method="talbot"), ml_survival(0.7, times)):
     print(f"  t = {t:5.1f}: {got:.10f} vs {ref:.10f}")
 
 print()
 print("count probabilities by symbol inversion vs the pmf table (t = 1):")
 table = counting_pmf(law, 1.0, n_max=4)
 for n in range(5):
-    got = invert(counting_symbol(law, n), 1.0, talbot)
+    got = invert(counting_symbol(law, n), 1.0, method="talbot")
     print(f"  n = {n}: {got:.10f} vs {table.probabilities[n]:.10f}")

@@ -19,7 +19,6 @@ from .errors import (
     NumericError,
 )
 from .laplace import (
-    InversionConfig,
     LaplaceSymbol,
     counting_symbol,
     density_symbol,
@@ -58,7 +57,6 @@ from .renewal import (
 )
 from .special import (
     MlEvaluation,
-    asymptotic_crossover,
     ml_one_param,
     ml_survival,
     ml_values,
@@ -86,7 +84,6 @@ __all__ = [
     "DomainError",
     "InversionError",
     "NumericError",
-    "InversionConfig",
     "LaplaceSymbol",
     "counting_symbol",
     "density_symbol",
@@ -117,7 +114,6 @@ __all__ = [
     "generate_epochs",
     "sample_waiting_time",
     "MlEvaluation",
-    "asymptotic_crossover",
     "ml_one_param",
     "ml_survival",
     "ml_values",

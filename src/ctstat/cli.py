@@ -28,7 +28,6 @@ import numpy as np
 
 from .errors import DomainError, NumericError
 from .laplace import (
-    InversionConfig,
     counting_symbol,
     density_symbol,
     invert,
@@ -225,10 +224,9 @@ def _cmd_invert(args) -> int:
         if args.n is None:
             raise DomainError("the counting symbol needs --n")
         sym = counting_symbol(law, args.n)
-    config = InversionConfig(method=args.method)
     ts = _grid_from(args, "t", "tmin", "tmax")
-    rows = [(float(t), invert(sym, float(t), config)) for t in ts]
-    _emit_table(args, ("t", "value"), rows)
+    values = invert(sym, ts, method=args.method)
+    _emit_table(args, ("t", "value"), zip(ts.tolist(), values.tolist()))
     return _EXIT_OK
 
 

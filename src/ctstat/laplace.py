@@ -11,19 +11,20 @@ count probabilities to ``(1 - d(s))/s * d(s)^n``, and the memory kernel
 so that exponential waits give a constant (memoryless) kernel and
 heavy-tailed Mittag-Leffler waits give ``m(s) = s^(order-1)``.
 
-Two inverters are provided.  Gaver-Stehfest works on the real axis
-only, with rational weights generated exactly and a built-in
-cross-check at a lower order; it is the default.  The fixed-parameter
-Talbot contour integral serves as an independent fallback that also
-handles transforms whose Gaver-Stehfest error is structural (it needs
-the symbol at complex points).
+Two inverters sit behind the one entry point :func:`invert`.
+Gaver-Stehfest works on the real axis only, with rational weights
+generated exactly and a built-in cross-check at a lower order; it is
+the default.  The fixed Talbot contour (``method="talbot"``) is the
+integrator that also evaluates the Mittag-Leffler function
+(:func:`ctstat.special._talbot`); it inverts all requested times in one
+vectorized call and handles transforms whose Gaver-Stehfest error is
+structural, at the price of needing the symbol at complex points.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
@@ -32,10 +33,10 @@ import numpy as np
 
 from .errors import DomainError, InversionError
 from .renewal import _check_waiting_law
+from .special import _talbot
 
 __all__ = [
     "LaplaceSymbol",
-    "InversionConfig",
     "density_symbol",
     "survival_symbol",
     "memory_kernel_symbol",
@@ -51,7 +52,8 @@ class LaplaceSymbol:
     """A Laplace transform ``s -> F(s)``, valid for Re(s) > 0.
 
     ``fn`` must accept positive real arguments; symbols meant for the
-    Talbot inverter must accept complex arguments as well.
+    Talbot inverter must accept complex numpy arrays as well (one call
+    evaluates every contour node at every requested time).
     """
 
     fn: Callable
@@ -152,35 +154,18 @@ def stehfest_weights(order: int) -> tuple[float, ...]:
     return tuple(weights)
 
 
-@dataclass(frozen=True)
-class InversionConfig:
-    """Knobs for :func:`invert`.
-
-    method        : "stehfest" (real-axis, default) or "talbot"
-    order         : Gaver-Stehfest order (even); 14 keeps the weight
-                    magnitudes near 1e8 so roughly 8 digits survive in
-                    double precision
-    check_order   : secondary order for the agreement check, 0 disables
-    rel_tol       : accepted relative disagreement between the orders;
-                    on smooth probability-scale originals the measured
-                    gap stays below ~5e-4 while structural failures
-                    (oscillatory or discontinuous originals) push it
-                    past 1e-2, so these defaults split the two regimes
-    abs_floor     : disagreement below this absolute size never raises
-    talbot_points : contour nodes for method="talbot"; 24 is the double
-                    precision sweet spot, beyond it the exp(r*t) factor
-                    amplifies rounding faster than the quadrature gains
-    """
-
-    method: str = "stehfest"
-    order: int = 14
-    check_order: int = 12
-    rel_tol: float = 5e-3
-    abs_floor: float = 1e-3
-    talbot_points: int = 24
-
-
-_DEFAULT_CONFIG = InversionConfig()
+# Gaver-Stehfest order and the lower order it is checked against; 14
+# keeps the weight magnitudes near 1e8 so roughly 8 digits survive in
+# double precision
+_STEHFEST_ORDER = 14
+_STEHFEST_CHECK_ORDER = 12
+# accepted disagreement between the two orders: relative, and an
+# absolute floor below which it never raises.  On smooth
+# probability-scale originals the measured gap stays below ~5e-4 while
+# structural failures (oscillatory or discontinuous originals) push it
+# past 1e-2, so these values split the two regimes
+_STEHFEST_REL_TOL = 5e-3
+_STEHFEST_ABS_FLOOR = 1e-3
 
 
 def _stehfest_at(symbol, t: float, order: int) -> float:
@@ -192,56 +177,40 @@ def _stehfest_at(symbol, t: float, order: int) -> float:
     return acc * ln2_t
 
 
-def _talbot_at(symbol, t: float, m: int) -> float:
-    # fixed-parameter Talbot contour s(theta) = r*theta*(cot(theta) + i)
-    r = 2.0 * m / (5.0 * t)
-    acc = 0.5 * math.exp(r * t) * symbol(complex(r, 0.0)).real
-    for k in range(1, m):
-        theta = k * math.pi / m
-        cot = math.cos(theta) / math.sin(theta)
-        s = r * theta * complex(cot, 1.0)
-        sigma = theta + (theta * cot - 1.0) * cot
-        acc += (cmath.exp(s * t) * symbol(s) * complex(1.0, sigma)).real
-    return acc * r / m
-
-
-def invert(symbol, t, config: InversionConfig | None = None):
+def invert(symbol, t, method: str = "stehfest"):
     """Evaluate the original function of ``symbol`` at time(s) ``t``.
 
     Scalar ``t`` returns a float, an array returns an array.  Times must
-    be strictly positive.
+    be strictly positive.  ``method`` is "stehfest" (real axis, default)
+    or "talbot" (fixed contour, all times in one call).
 
     Raises
     ------
     InversionError
-        when the two Gaver-Stehfest orders disagree beyond
-        ``rel_tol``/``abs_floor``, which flags a transform outside the
-        method's comfort zone (oscillatory or non-smooth originals).
+        when the two Gaver-Stehfest orders disagree beyond the accepted
+        gap, which flags a transform outside the method's comfort zone
+        (oscillatory or non-smooth originals).
     """
-    cfg = _DEFAULT_CONFIG if config is None else config
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr <= 0.0) or np.any(~np.isfinite(t_arr)):
         raise DomainError("inversion times must be positive and finite")
-    scalar = t_arr.ndim == 0
+    if method == "talbot":
+        out = _talbot(symbol, t_arr)
+        return float(out) if t_arr.ndim == 0 else out
+    if method != "stehfest":
+        raise DomainError(f"unknown inversion method {method!r}")
 
     out = np.empty(t_arr.size)
     for i, ti in enumerate(np.atleast_1d(t_arr)):
-        if cfg.method == "talbot":
-            out[i] = _talbot_at(symbol, float(ti), cfg.talbot_points)
-            continue
-        if cfg.method != "stehfest":
-            raise DomainError(f"unknown inversion method {cfg.method!r}")
-        v = _stehfest_at(symbol, float(ti), cfg.order)
-        if cfg.check_order:
-            v_check = _stehfest_at(symbol, float(ti), cfg.check_order)
-            gap = abs(v - v_check)
-            if gap > max(cfg.rel_tol * abs(v), cfg.abs_floor):
-                label = getattr(symbol, "label", "") or repr(symbol)
-                raise InversionError(
-                    f"Gaver-Stehfest orders {cfg.order}/{cfg.check_order} "
-                    f"disagree by {gap:.3e} at t={ti} for {label}"
-                )
+        v = _stehfest_at(symbol, float(ti), _STEHFEST_ORDER)
+        gap = abs(v - _stehfest_at(symbol, float(ti), _STEHFEST_CHECK_ORDER))
+        if gap > max(_STEHFEST_REL_TOL * abs(v), _STEHFEST_ABS_FLOOR):
+            label = getattr(symbol, "label", "") or repr(symbol)
+            raise InversionError(
+                f"Gaver-Stehfest orders {_STEHFEST_ORDER}/{_STEHFEST_CHECK_ORDER} "
+                f"disagree by {gap:.3e} at t={ti} for {label}"
+            )
         out[i] = v
-    if scalar:
+    if t_arr.ndim == 0:
         return float(out[0])
     return out.reshape(t_arr.shape)

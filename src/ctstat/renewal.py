@@ -289,28 +289,22 @@ def counting_pmf(
 
     elif isinstance(law, MittagLeffler):
         # local import: laplace imports this module at module level
-        from .laplace import (
-            InversionConfig,
-            LaplaceSymbol,
-            counting_symbol,
-            invert,
-        )
+        from .laplace import LaplaceSymbol, counting_symbol, invert
 
-        cfg = InversionConfig(method="talbot")
         if t == 0.0:
             entry = lambda n: 1.0 if n == 0 else 0.0
             tail_beyond = lambda n: 0.0
         else:
 
             def entry(n: int) -> float:
-                return max(invert(counting_symbol(law, n), t, cfg), 0.0)
+                return max(invert(counting_symbol(law, n), t, method="talbot"), 0.0)
 
             def tail_beyond(n: int) -> float:
                 sym = LaplaceSymbol(
                     lambda s: law.density_lt(s) ** (n + 1) / s,
                     f"arrival cdf n={n + 1}",
                 )
-                return min(max(invert(sym, t, cfg), 0.0), 1.0)
+                return min(max(invert(sym, t, method="talbot"), 0.0), 1.0)
 
     else:
         raise DomainError(f"unsupported inter-event law: {law!r}")

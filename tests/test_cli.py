@@ -63,6 +63,15 @@ def test_header_reruns_identically(capsys):
     assert second == first
 
 
+def test_ml_far_negative_argument(capsys):
+    # x^(1/a) = 1e400 is past double range; the value 1/(x Gamma(1/2))
+    # is not
+    code, out, _ = run(capsys, ["ml", "--alpha", "0.5", "--z=-1e200"])
+    assert code == 0
+    _, _, rows = parse_csv(out)
+    assert float(rows[0][1]) == pytest.approx(1e-200 / math.sqrt(math.pi), rel=1e-8)
+
+
 def test_exit_codes(capsys):
     # E_{1/2}(30) ~ 1e391 overflows a double, so the positive-argument
     # series cannot meet its budget

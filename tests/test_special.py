@@ -17,11 +17,11 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import rgamma
 
 from ctstat.errors import AccuracyError, DomainError
 from ctstat.special import (
     MlEvaluation,
-    asymptotic_crossover,
     ml_one_param,
     ml_survival,
     ml_values,
@@ -61,7 +61,7 @@ def test_series_regime_against_oracle(alpha, x, expected):
 def test_asymptotic_regime_against_oracle(alpha, x, expected):
     r = ml_one_param(alpha, -x)
     assert abs(r.value - expected) < 1e-11
-    assert r.regime == "asymptotic"
+    assert r.regime == "contour"
 
 
 def test_half_order_closed_form():
@@ -88,10 +88,20 @@ def test_positive_argument_half_order():
     assert r.value == pytest.approx(math.exp(4.0) * erfc(-2.0), rel=1e-13)
 
 
-@pytest.mark.parametrize("z", [10.0, 30.0])
+def test_positive_argument_past_power_range():
+    # z^n passes 1e308 long before E_{1/2}(10) ~ 5.4e43 does; the terms
+    # are formed in log space, so the value stays finite and accurate
+    from scipy.special import erfc
+
+    r = ml_one_param(0.5, 10.0)
+    assert r.value == pytest.approx(math.exp(100.0) * erfc(-10.0), rel=2e-13)
+
+
+@pytest.mark.parametrize("z", [20.0, 30.0])
 def test_positive_argument_overflow_raises(z):
-    # the growing series overflows to NaN long before E_{1/2}(30) ~ 1e391
-    # leaves the double range; that must raise, not return NaN
+    # E_{1/2}(20) ~ 1e174 is past the series' relative accuracy and
+    # E_{1/2}(30) ~ 1e391 leaves the double range; both must raise, not
+    # return NaN
     with pytest.raises(AccuracyError):
         ml_one_param(0.5, z)
 
@@ -125,31 +135,9 @@ def test_evaluation_reports_regime_and_terms():
     assert 0.0 < r.est_error < 1e-11
 
     r = ml_one_param(0.7, -30.0)
-    assert r.regime == "asymptotic"
+    assert r.regime == "contour"
     assert r.terms_used > 3
-
-
-def test_est_error_covers_regime_disagreement():
-    # both internal routes evaluated at the same point, just past the
-    # crossover, must agree within the asymptotic route's estimate
-    from ctstat.special import _asymptotic, _series_mp
-
-    for alpha in [0.4, 0.6, 0.8, 0.95]:
-        xc = asymptotic_crossover(alpha)
-        x = xc * 1.0001
-        routed = ml_one_param(alpha, -x)
-        assert routed.regime == "asymptotic"
-        exact = _series_mp(alpha, -x, x ** (1.0 / alpha))[0]
-        assert abs(routed.value - exact) <= routed.est_error + 1e-13
-        va, _, ea = _asymptotic(alpha, x)
-        assert va == routed.value and ea == routed.est_error
-
-
-def test_crossover_tracks_order():
-    # the switch point grows roughly like 25.3**alpha
-    for alpha in [0.2, 0.5, 0.7, 0.9]:
-        xc = asymptotic_crossover(alpha)
-        assert 0.9 * 25.3**alpha < xc < 1.3 * 25.3**alpha
+    assert 0.0 < r.est_error < 1e-10
 
 
 def test_survival_scalar_and_array():
@@ -191,10 +179,37 @@ def test_argument_domain():
         ml_values(0.5, np.array([0.5]))
 
 
+def test_tiny_order_past_series_band(bench_oracles):
+    # order 4e-4 just past x = 1: the series peak exp(x**(1/a)) is
+    # astronomically large; the contour carries the point.  The
+    # trapezoid oracle itself is off by ~1.6e-11 at this order, so the
+    # check is against the 1e-10 guarantee
+    r = ml_one_param(0.0004, -1.01)
+    assert r.regime == "contour"
+    x = np.array([0.9995, 1.0005, 1.01])
+    with np.errstate(over="ignore"):
+        ref = bench_oracles.ml_neg(0.0004, x)
+    assert abs(r.value - ref[2]) < 1e-10
+    # 1.0005 lies in the series band, but at this order its terms do not
+    # settle within the vectorized series' term cap
+    assert np.max(np.abs(ml_values(0.0004, -x) - ref)) < 1e-10
+
+
 def test_unreachable_accuracy_raises_with_payload():
-    # tiny order, argument just past 1: the series peak exp(x**(1/a)) is
-    # astronomically large and the asymptotic route cannot reach target
+    # the growing series at E_{1/2}(20) ~ 1e174 misses its relative
+    # target; the error carries the best value and its estimate
     with pytest.raises(AccuracyError) as exc:
-        ml_one_param(0.0004, -1.01)
+        ml_one_param(0.5, 20.0)
     assert math.isfinite(exc.value.value)
     assert exc.value.est_error > 1e-11
+
+
+@pytest.mark.parametrize("alpha", [0.02, 0.5, 0.99])
+@pytest.mark.parametrize("x", [1e6, 1e8, 1e100, 1e300])
+def test_large_argument_matches_expansion(alpha, x):
+    # three terms of E_a(-x) ~ sum (-1)^(k+1) x^(-k) / Gamma(1 - a*k);
+    # for x >= 1e6 the first omitted term is below 1e-15 of the leading one
+    ref = sum((-1) ** (k + 1) * x**-k * rgamma(1.0 - alpha * k) for k in (1, 2, 3))
+    r = ml_one_param(alpha, -x)
+    assert r.value == pytest.approx(ref, rel=1e-8)
+    assert ml_values(alpha, np.array([-x]))[0] == pytest.approx(ref, rel=1e-8)

@@ -1,6 +1,5 @@
 """Tests for jump laws and the sum/max statistics of the event stream."""
 
-import importlib.util
 import math
 import os
 import subprocess
@@ -14,7 +13,7 @@ from scipy.integrate import quad
 
 import ctstat
 from ctstat.errors import AccuracyError, CapabilityError, DomainError
-from ctstat.laplace import InversionConfig, invert, marginal_symbol
+from ctstat.laplace import invert, marginal_symbol
 from ctstat.relax import PowerLawKernel, RelaxationProblem, solve_relaxation
 from ctstat.renewal import Exponential, MittagLeffler, counting_pmf
 from ctstat.special import ml_one_param
@@ -67,17 +66,6 @@ IRWIN_HALL_ORACLE = [
     (10, 3.2, 0.023784362880169324),
     (15, 7.0, 0.32887986932232964),
 ]
-
-
-def _load_bench_oracles():
-    path = Path(__file__).parents[1] / "perfbench" / "oracles.py"
-    spec = importlib.util.spec_from_file_location("bench_oracles", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-BENCH_ORACLES = _load_bench_oracles()
 
 
 def irwin_hall_mp(n, y):
@@ -346,34 +334,34 @@ def test_lattice_uniform_poisson_against_irwin_hall():
     assert np.max(np.abs(got - ref)) < tol
 
 
-def test_lattice_uniform_mittag_leffler_against_prabhakar():
+def test_lattice_uniform_mittag_leffler_against_prabhakar(bench_oracles):
     # heavy-tailed counts put large weight on one jump, where the
     # single-jump term must be exact; the oracle mixes cardinal
     # B-splines over the Prabhakar pmf
     tol = 1e-8
     u = np.linspace(0.0, 36.0, 101)
     got = mixture_cdf(StatisticKind.SUM, UniformJumps(1.0), MittagLeffler(0.7), 50.0, u, tol=tol)
-    pmf = BENCH_ORACLES.fractional_pmf_cover(0.7, 50.0)
-    ref = BENCH_ORACLES.irwin_hall_mixture_cdf(pmf, 1.0, u)
+    pmf = bench_oracles.fractional_pmf_cover(0.7, 50.0)
+    ref = bench_oracles.irwin_hall_mixture_cdf(pmf, 1.0, u)
     assert np.max(np.abs(got - ref)) < tol
 
 
-def test_lattice_off_node_reads_within_estimate():
+def test_lattice_off_node_reads_within_estimate(bench_oracles):
     table = counting_pmf(Exponential(1.0), 18.0, mass_target=1.0 - 1e-10)
     u = np.random.default_rng(77).uniform(0.0, 16.6, 200)
     got, est = _lattice_mixture(table.probabilities, UniformJumps(1.3), u, 1e-8)
-    ref = BENCH_ORACLES.irwin_hall_mixture_cdf(table.probabilities, 1.3, u)
+    ref = bench_oracles.irwin_hall_mixture_cdf(table.probabilities, 1.3, u)
     assert est < 1e-8
     assert np.max(np.abs(got - ref)) <= est
 
 
-def test_lattice_far_beyond_bounded_jumps():
+def test_lattice_far_beyond_bounded_jumps(bench_oracles):
     # u spans 1100 jump widths, but sums of the table's counts end within
     # a few dozen; the lattice stops there and the cdf stays flat beyond
     tol = 1e-8
     u = np.concatenate([np.linspace(0.0, 11.0, 101), [0.025, 0.073]])
     got = sum_cdf_series(UniformJumps(0.01), 1.0, 2.0, u, tol=tol)
-    ref = BENCH_ORACLES.irwin_hall_mixture_cdf(BENCH_ORACLES.poisson_pmf_cover(2.0), 0.01, u)
+    ref = bench_oracles.irwin_hall_mixture_cdf(bench_oracles.poisson_pmf_cover(2.0), 0.01, u)
     assert np.max(np.abs(got - ref)) < tol
 
 def test_lattice_unreachable_tolerance_raises_with_values():
@@ -531,33 +519,31 @@ def test_nfold_transform_is_power_of_statistic_transform():
 
 
 def test_statistic_transform_feeds_marginal_symbol_max():
-    cfg = InversionConfig(method="talbot")
     jumps = ExponentialJumps(1.0)
     for w in (0.5, 1.5, 3.0):
         g = statistic_transform(StatisticKind.MAX, jumps, w)
         sf = math.exp(-w)
         for t in (0.5, 1.0, 2.5):
-            got = invert(marginal_symbol(Exponential(1.3), g), t, cfg)
+            got = invert(marginal_symbol(Exponential(1.3), g), t, method="talbot")
             assert got == pytest.approx(math.exp(-1.3 * sf * t), abs=1e-10)
-            got = invert(marginal_symbol(MittagLeffler(0.7), g), t, cfg)
+            got = invert(marginal_symbol(MittagLeffler(0.7), g), t, method="talbot")
             assert got == pytest.approx(max_cdf(0.7, jumps, t, w), abs=1e-10)
 
 
 def test_statistic_transform_feeds_marginal_symbol_sum():
-    cfg = InversionConfig(method="talbot")
     jumps = ExponentialJumps(1.0)
     lam = 0.7
     g = statistic_transform(StatisticKind.SUM, jumps, lam)
     sym = marginal_symbol(Exponential(1.0), g)
     for t in (0.5, 1.0, 2.0, 4.0):
-        assert invert(sym, t, cfg) == pytest.approx(
+        assert invert(sym, t, method="talbot") == pytest.approx(
             math.exp(-t * (1.0 - g)), abs=1e-10
         )
     a = 0.7
     sym = marginal_symbol(MittagLeffler(a), g)
     for t in (0.5, 1.0, 2.0, 4.0):
         ref = ml_one_param(a, -(1.0 - g) * t**a).value
-        assert invert(sym, t, cfg) == pytest.approx(ref, abs=1e-10)
+        assert invert(sym, t, method="talbot") == pytest.approx(ref, abs=1e-10)
 
 
 def test_statistic_transform_validation():
@@ -618,13 +604,12 @@ def test_semi_markov_marginal_symmetric_chain():
 def test_semi_markov_marginal_matches_inverted_symbol():
     # the transform-domain marginal with value v corresponds to the
     # redraw chain with keep probability v
-    cfg = InversionConfig(method="talbot")
     for waits in (Exponential(1.0), MittagLeffler(0.7)):
         for v in (0.0, 0.3, 0.7, 1.0):
             q = TransitionMatrix([[v, 1.0 - v], [0.0, 1.0]])
             sym = marginal_symbol(waits, v)
             for t in (0.5, 2.0):
-                got = invert(sym, t, cfg)
+                got = invert(sym, t, method="talbot")
                 ref = semi_markov_marginal(q, 0, waits, t, tol=1e-10)[0]
                 assert got == pytest.approx(ref, abs=1e-8)
 
@@ -769,10 +754,11 @@ def test_transition_matrix():
 
 def test_import_does_not_load_scipy_signal():
     # scipy.signal (with the scipy.stats it loads) would triple the
-    # import time for one convolution; stats convolves on scipy.fft
+    # import time for one convolution; stats convolves on scipy.fft.
+    # mpmath is a test-only dependency: no route of the package uses it
     env = {**os.environ, "PYTHONPATH": str(Path(ctstat.__file__).parents[1])}
-    code = "import sys, ctstat; print('scipy.signal' in sys.modules)"
+    code = "import sys, ctstat; print('scipy.signal' in sys.modules, 'mpmath' in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
