@@ -266,10 +266,10 @@ def _cmd_solve(args) -> int:
         kernel=kernel, rate=args.c, t_max=args.tmax, step=args.h
     )
     solution = solve_relaxation(problem)
-    rows = [
+    rows = (
         (float(t), float(qv), solution.est_error)
         for t, qv in zip(solution.times, solution.values)
-    ]
+    )
     _emit_table(args, ("t", "Q", "est_error"), rows)
     return _EXIT_OK
 

@@ -419,6 +419,18 @@ def _lattice_level(pmf: np.ndarray, jumps, h: float, m: int) -> np.ndarray:
     return pmf[0] + _half_cells(c) - pmf[1] * _half_cells(f)
 
 
+def _lagrange6(nodes: np.ndarray, start: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Lagrange interpolation at x through nodes[start .. start + 5]."""
+    out = np.zeros_like(x)
+    for j in range(6):
+        weight = np.ones_like(x)
+        for m in range(6):
+            if m != j:
+                weight *= (x - start - m) / (j - m)
+        out += weight * nodes[start + j]
+    return out
+
+
 def _lattice_mixture(pmf: np.ndarray, jumps, u_arr: np.ndarray, budget: float):
     """sum_n pmf_n * F*n(u) from the count generating function on a
     lattice, with its error estimate.
@@ -427,43 +439,47 @@ def _lattice_mixture(pmf: np.ndarray, jumps, u_arr: np.ndarray, budget: float):
     (``jumps.piece``), at whose multiples the n-fold laws have their
     breakpoints, or cut where the table's sums of bounded jumps end; the
     coarse step is a 64th of a piece.  Levels at steps h, h/2, h/4, ...
-    are read on the coarse nodes and combined by Richardson's rule,
-    R = (4 L_{h/2} - L_h) / 3; levels are added while the last change
-    in R (the estimate) exceeds ``budget`` and the finest lattice stays
-    within _LATTICE_MAX_CELLS.  Off-node u are read by 4-point Lagrange
-    interpolation inside one piece, and the single-jump term
-    pmf_1 * F(u) is added exactly.  Returns (values, est), values None
-    when not even the coarse lattice fits the cap.
+    are combined by Richardson's rule, R = (4 L_{h/2} - L_h) / 3 on the
+    nodes of L_h; levels are added while the last change in R (the
+    estimate) exceeds ``budget`` and the finest lattice stays within
+    _LATTICE_MAX_CELLS.  Off-node u are read from the last R by 6-point
+    Lagrange interpolation inside one piece; the estimate adds the
+    largest gap to the same read from the stencil one node over, and
+    the single-jump term pmf_1 * F(u) is added exactly.  Returns
+    (values, est), values None when not even the coarse lattice fits
+    the cap.
     """
     pmf = np.append(pmf, 0.0)  # pmf[1] exists even for a one-entry table
     b = float(jumps.piece)
-    k = _CELLS_PER_PIECE
     pieces = max(1, math.ceil(float(u_arr.max(initial=0.0)) / b))
     if float(jumps.sf(b)) == 0.0:
         # jumps of at most one piece: the table's sums end within pmf.size pieces
         pieces = min(pieces, pmf.size)
-    levels, extrap, est = [], [], math.inf
-    while est > budget and pieces * k << len(levels) <= _LATTICE_MAX_CELLS:
-        step = 1 << len(levels)
-        levels.append(_lattice_level(pmf, jumps, b / (k * step), pieces * k * step)[::step])
-        if len(levels) > 1:
-            extrap.append((4.0 * levels[-1] - levels[-2]) / 3.0)
-        if len(extrap) > 1:
-            est = float(np.max(np.abs(extrap[-1] - extrap[-2])))
-    if not levels:
+    level, extrap, est = None, None, math.inf
+    cells = _CELLS_PER_PIECE
+    while est > budget and pieces * cells <= _LATTICE_MAX_CELLS:
+        finer = _lattice_level(pmf, jumps, b / cells, pieces * cells)
+        if level is not None:
+            # Richardson on the nodes of the coarser level, compared with
+            # the previous extrapolation on that one's nodes
+            richardson = (4.0 * finer[::2] - level) / 3.0
+            if extrap is not None:
+                est = float(np.max(np.abs(richardson[::2] - extrap)))
+            extrap = richardson
+        level = finer
+        cells *= 2
+    if level is None:
         return None, est
-    best = (extrap or levels)[-1]
+    best = level if extrap is None else extrap
+    cells = (best.size - 1) // pieces
     u_in = np.minimum(u_arr, pieces * b)  # the lattice part is flat beyond its domain
-    x = u_in * (k / b)
-    first = k * np.minimum(np.floor(u_in / b), pieces - 1)  # first node of u's piece
-    i = np.clip(np.floor(x) - 1.0, first, first + k - 3).astype(int)
-    s = x - i
-    values = (
-        -(s - 1.0) * (s - 2.0) * (s - 3.0) / 6.0 * best[i]
-        + s * (s - 2.0) * (s - 3.0) / 2.0 * best[i + 1]
-        - s * (s - 1.0) * (s - 3.0) / 2.0 * best[i + 2]
-        + s * (s - 1.0) * (s - 2.0) / 6.0 * best[i + 3]
-    )
+    x = u_in * (cells / b)
+    first = cells * np.minimum(np.floor(u_in / b), pieces - 1)  # first node of u's piece
+    i = np.clip(np.floor(x) - 2.0, first, first + cells - 5).astype(int)
+    values = _lagrange6(best, i, x)
+    # the same read one node over, still inside the piece, prices the reader
+    shifted = _lagrange6(best, np.where(i < first + cells - 5, i + 1, i - 1), x)
+    est += float(np.max(np.abs(values - shifted), initial=0.0))
     return values + pmf[1] * np.asarray(jumps.cdf(u_arr), dtype=float), est
 
 

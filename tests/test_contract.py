@@ -1,9 +1,11 @@
-"""Contract of the contour routes: right within budget, or raise.
+"""Contract of the contour routes and the relaxation solver: right
+within budget, or raise.
 
-Every Mittag-Leffler value, every Talbot inversion and every count table
-of a Mittag-Leffler stream is checked on a seeded grid against the
-benchmark's reference values (``perfbench/oracles.py``), which never
-call ctstat, or against closed-form transform pairs.
+Every Mittag-Leffler value, every Talbot inversion, every count table
+of a Mittag-Leffler stream and every power-law relaxation curve is
+checked on a seeded grid against the benchmark's reference values
+(``perfbench/oracles.py``), which never call ctstat, or against
+closed-form transform pairs.
 """
 
 import math
@@ -14,6 +16,7 @@ from scipy.special import gammainc
 
 from ctstat.errors import AccuracyError
 from ctstat.laplace import invert
+from ctstat.relax import PowerLawKernel, RelaxationProblem, solve_relaxation
 from ctstat.renewal import MittagLeffler, counting_pmf
 from ctstat.special import ml_one_param, ml_values
 
@@ -81,3 +84,27 @@ def test_count_tables_meet_pgf_identity_or_raise(bench_oracles):
         err = np.max(np.abs(pgf - ref))
         assert err <= table.tail_bound + 1e-10, f"order {a}, t={t}: {err:.2e}"
     assert raised < 24
+
+
+def _relaxation_gap(oracles, order, rate, t_max, step):
+    sol = solve_relaxation(RelaxationProblem(PowerLawKernel(order), rate=rate, t_max=t_max, step=step))
+    # 257 nodes spread over the curve, plus the first steps, where the
+    # start-up error peaks
+    n = sol.times.size - 1
+    idx = np.unique(np.concatenate([np.arange(9), np.linspace(0, n, 257).astype(int)]))
+    ref = _ml_reference(oracles, order, rate * sol.times[idx] ** order)
+    return float(np.max(np.abs(sol.values[idx] - ref))), sol.est_error
+
+
+def test_relaxation_estimate_covers_error(bench_oracles):
+    rng = np.random.default_rng(RNG_SEED)
+    orders = np.concatenate([[0.1, 1.0], rng.uniform(0.1, 1.0, 10)])
+    rates = np.concatenate([[2.0, 0.5], rng.uniform(0.5, 2.0, 10)])
+    for a, c in zip(orders, rates):
+        err, est = _relaxation_gap(bench_oracles, a, c, 5.0, 1e-3)
+        assert est >= err, f"order {a}, rate {c}: est {est:.2e} < {err:.2e}"
+    # 5e4 coarse and 1e5 fine steps: in reach only of an O(N log N) solve
+    a, c = rng.uniform(0.1, 1.0), rng.uniform(0.5, 2.0)
+    err, est = _relaxation_gap(bench_oracles, a, c, 5.0, 1e-4)
+    assert est >= err, f"order {a}, rate {c}: est {est:.2e} < {err:.2e}"
+    assert est < 1e-3  # the cover is not vacuous: the curve meets the solver's bound

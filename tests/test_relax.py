@@ -14,10 +14,43 @@ from ctstat.relax import (
     caputo_l1,
     solve_relaxation,
 )
+from ctstat.relax import _solve_power_law
 from ctstat.special import ml_values
 
 # E_0.6(-1), checked against the spectral integral representation
 ML_06_AT_1 = 0.4133273409431063
+
+
+def sweep_reference(alpha, rate, n_steps, step):
+    """The product-trapezoidal rule stepped through the history one node
+    at a time, one dot product per step: O(N^2), the direct form of the
+    Toeplitz solve in the package."""
+    q = np.empty(n_steps + 1)
+    q[0] = 1.0
+    lam = rate * step**alpha / math.gamma(alpha + 2.0)
+    k = np.arange(n_steps + 1, dtype=float)
+    powers = k ** (alpha + 1.0)
+    lag = powers[2:] - 2.0 * powers[1:-1] + powers[:-2]
+    for n in range(1, n_steps + 1):
+        first = (n - 1.0) ** (alpha + 1.0) - n**alpha * (n - alpha - 1.0)
+        acc = first * q[0]
+        if n > 1:
+            acc += np.dot(lag[: n - 1], q[n - 1 : 0 : -1])
+        q[n] = (1.0 - lam * acc) / (1.0 + lam)
+    return q
+
+
+def test_toeplitz_solve_matches_sweep():
+    # the two differ only by rounding, which the double-precision
+    # weights (differences of k^(a+1)) leave near 1e-11 at these sizes
+    for alpha in (0.1, 0.3, 0.5, 0.9, 1.0):
+        for rate in (0.5, 2.0, 10.0):
+            for n_steps in (1, 2, 3, 100, 5000):
+                step = 5.0 / n_steps
+                got = _solve_power_law(alpha, rate, step * np.arange(n_steps + 1), step)
+                ref = sweep_reference(alpha, rate, n_steps, step)
+                gap = float(np.max(np.abs(got - ref)))
+                assert gap < 1e-10, f"order {alpha}, rate {rate}, N={n_steps}: {gap:.2e}"
 
 
 def test_problem_validation():

@@ -355,6 +355,22 @@ def test_lattice_off_node_reads_within_estimate(bench_oracles):
     assert np.max(np.abs(got - ref)) <= est
 
 
+def test_lattice_off_node_values_at_tight_tolerance():
+    # off-node reads carry their own interpolation error, which the
+    # estimate must count at a tol far below the default
+    tol = 1e-11
+    u = np.random.default_rng(41).uniform(0.0, 6.0, 16)
+    for mu in (2.0, 5.0):
+        try:
+            got = sum_cdf_series(UniformJumps(1.0), 1.0, mu, u, tol=tol)
+        except AccuracyError as exc:
+            assert exc.est_error > tol
+            continue
+        ref = np.array([irwin_hall_poisson_mp(mu, 1.0, x, dps=50) for x in u])
+        err = np.max(np.abs(got - ref))
+        assert err < tol, f"Poisson({mu}): off by {err:.2e}"
+
+
 def test_lattice_far_beyond_bounded_jumps(bench_oracles):
     # u spans 1100 jump widths, but sums of the table's counts end within
     # a few dozen; the lattice stops there and the cdf stays flat beyond
@@ -390,6 +406,31 @@ def test_sum_cdf_pareto_grid_path_vs_sampling():
         emp = float(np.mean(totals <= point))
         se = math.sqrt(max(emp * (1.0 - emp), 1e-6) / n_paths)
         assert abs(value - emp) < 5.0 * se
+
+
+def test_sum_cdf_pareto_two_jump_range_against_quadrature():
+    # below three scales at most two jumps fit, so the cdf is
+    # e^-mu (1 + mu F(u) + mu^2/2 F*2(u)) with F*2 a single integral;
+    # just past two scales the lattice values curve hardest between nodes
+    scale, exponent, mu = 0.779286, 1.65, 1.5
+    pj = ParetoJumps(scale, exponent)
+
+    def cdf(x):
+        return 1.0 - (scale / x) ** exponent if x >= scale else 0.0
+
+    def two_fold(x):
+        if x <= 2.0 * scale:
+            return 0.0
+        dens = lambda y: exponent * scale**exponent / y ** (exponent + 1.0) * cdf(x - y)
+        return quad(dens, scale, x - scale, epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+
+    tol = 1e-8
+    u = np.concatenate([2.0 * scale + scale * np.array([0.003, 0.011, 0.05]),
+                        np.linspace(1.0, 2.3, 9)])
+    got = sum_cdf_series(pj, 0.75, mu / 0.75, u, tol=tol)
+    ref = np.array([math.exp(-mu) * (1.0 + mu * cdf(x) + 0.5 * mu * mu * two_fold(x)) for x in u])
+    err = np.max(np.abs(got - ref))
+    assert err < tol, f"off by {err:.2e}"
 
 
 def test_sum_cdf_validation_and_failure():
