@@ -4,13 +4,16 @@ Each subcommand maps to one module operation, evaluated over a flag
 described parameter grid and written as CSV (default) or JSON.  The
 first line of every CSV output is a ``#``-prefixed JSON object holding
 the fully resolved configuration, so any result file can be traced back
-to, and re-run from, the exact invocation that produced it.  Numeric
-cells carry 12 significant digits.
+to, and re-run from, the exact invocation that produced it.  Every
+command hands the writer one array per column; CSV is formatted a block
+of rows at a time, one ``%`` per block, and written block by block.
+Floats carry 12 significant digits, ints are written in full and bools
+as true/false.
 
 Exit codes: 0 on success, 2 for domain errors (bad arguments, laws, or
-flag combinations), 3 for numeric errors (a computation ran but missed
-its accuracy contract), 4 for I/O failures.  Failure diagnostics go to
-stderr.
+flag combinations, such as ``--points`` below 1), 3 for numeric errors
+(a computation ran but missed its accuracy contract), 4 for I/O
+failures.  Failure diagnostics go to stderr.
 
 Waiting-time laws are written ``exp:RATE`` or ``ml:ORDER``; the
 ``--alpha A`` shortcut stands for ``ml:A``.  Jump laws are written
@@ -21,6 +24,7 @@ Waiting-time laws are written ``exp:RATE`` or ``ml:ORDER``; the
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -120,44 +124,42 @@ def _config(args) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k != "func"}
 
 
-def _cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.12g}"
-
-
-def _write_text(path, text: str) -> None:
+def _write(path, chunks) -> None:
+    """Write text chunks as they come: to the file at path, or to stdout
+    when path is None or "-"."""
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+        handle.writelines(chunks)
 
 
-def _emit_table(args, columns, rows) -> None:
+_BLOCK_ROWS = 4096
+_SPEC = {"b": "%s", "i": "%d", "u": "%d", "f": "%.12g"}  # by dtype kind
+
+
+def _csv_rows(data):
+    """CSV lines of equal-length columns, one % of a row template per
+    block of rows: floats to 12 significant digits, ints in full, bools
+    as true/false."""
+    row = ",".join(_SPEC[c.dtype.kind] for c in data) + "\n"
+    cells = [np.where(c, "true", "false") if c.dtype == bool else c for c in data]
+    for start in range(0, cells[0].size, _BLOCK_ROWS):
+        block = [c[start : start + _BLOCK_ROWS].tolist() for c in cells]
+        yield row * len(block[0]) % tuple(itertools.chain.from_iterable(zip(*block)))
+
+
+def _emit_table(args, columns, data) -> None:
+    """Write named columns (arrays or scalars, broadcast to one length)."""
+    data = np.broadcast_arrays(*(np.atleast_1d(c) for c in data))
     config = _config(args)
     if args.format == "json":
-        doc = {
-            "config": config,
-            "columns": list(columns),
-            "rows": [[_json_value(v) for v in row] for row in rows],
-        }
-        _write_text(args.out, json.dumps(doc) + "\n")
+        rows = list(zip(*(c.tolist() for c in data)))
+        doc = {"config": config, "columns": list(columns), "rows": rows}
+        _write(args.out, [json.dumps(doc) + "\n"])
         return
-    lines = ["# " + json.dumps(config, sort_keys=True)]
-    lines.append(",".join(columns))
-    lines.extend(",".join(_cell(v) for v in row) for row in rows)
-    _write_text(args.out, "\n".join(lines) + "\n")
-
-
-def _json_value(value):
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    return float(value)
+    head = "# " + json.dumps(config, sort_keys=True) + "\n" + ",".join(columns) + "\n"
+    _write(args.out, itertools.chain([head], _csv_rows(data)))
 
 
 def _grid_from(args, single_flag: str, lo_flag: str, hi_flag: str):
@@ -180,6 +182,13 @@ def _grid_from(args, single_flag: str, lo_flag: str, hi_flag: str):
     return np.linspace(lo, hi, args.points)
 
 
+def _span(hi: float, points: int):
+    """--points evenly spaced nodes on [0, hi]."""
+    if points < 1:
+        raise DomainError(f"--points must be at least 1, got {points}")
+    return np.linspace(0.0, hi, points)
+
+
 def _cmd_ml(args) -> int:
     zs = _grid_from(args, "z", "zmin", "zmax")
     values = np.empty_like(zs)
@@ -187,15 +196,15 @@ def _cmd_ml(args) -> int:
     # one vectorized call for z <= 0 (it rejects NaN); the series for z > 0
     values[~positive] = ml_values(args.alpha, zs[~positive])
     values[positive] = [ml_one_param(args.alpha, z).value for z in zs[positive]]
-    _emit_table(args, ("z", "ml_value"), zip(zs.tolist(), values.tolist()))
+    _emit_table(args, ("z", "ml_value"), (zs, values))
     return _EXIT_OK
 
 
 def _cmd_pmf(args) -> int:
     law = _wait_law_from(args)
     table = counting_pmf(law, args.t, n_max=args.nmax, mass_target=args.mass)
-    rows = list(enumerate(table.probabilities))
-    _emit_table(args, ("n", "probability"), rows)
+    p = table.probabilities
+    _emit_table(args, ("n", "probability"), (np.arange(p.size), p))
     return _EXIT_OK
 
 
@@ -203,8 +212,7 @@ def _cmd_epochs(args) -> int:
     law = _wait_law_from(args)
     rng = np.random.default_rng(_check_seed(args.seed))
     seq = generate_epochs(law, rng, args.tmax)
-    rows = list(enumerate(seq.times, start=1))
-    _emit_table(args, ("n", "epoch"), rows)
+    _emit_table(args, ("n", "epoch"), (np.arange(1, seq.times.size + 1), seq.times))
     return _EXIT_OK
 
 
@@ -226,7 +234,7 @@ def _cmd_invert(args) -> int:
         sym = counting_symbol(law, args.n)
     ts = _grid_from(args, "t", "tmin", "tmax")
     values = invert(sym, ts, method=args.method)
-    _emit_table(args, ("t", "value"), zip(ts.tolist(), values.tolist()))
+    _emit_table(args, ("t", "value"), (ts, values))
     return _EXIT_OK
 
 
@@ -234,24 +242,21 @@ def _cmd_analytic(args) -> int:
     kind = StatisticKind(args.stat)
     jumps = _parse_jump_law(args.jumps)
     waits = _wait_law_from(args)
-    grid = np.linspace(0.0, args.umax, args.points)
+    grid = _span(args.umax, args.points)
     values = mixture_cdf(kind, jumps, waits, args.t, grid, tol=args.tol)
-    rows = list(zip(grid, values))
-    _emit_table(args, ("u_or_w", "cdf_value"), rows)
+    _emit_table(args, ("u_or_w", "cdf_value"), (grid, values))
     return _EXIT_OK
 
 
 def _cmd_chain(args) -> int:
     q = _parse_matrix(args.q)
     waits = _wait_law_from(args)
-    ts = np.linspace(0.0, args.tmax, args.points)
+    ts = _span(args.tmax, args.points)
     columns = ["t"] + [f"p_{args.start}{j}" for j in range(q.n_states)]
-    rows = [
-        [float(t)]
-        + list(semi_markov_marginal(q, args.start, waits, float(t), tol=args.tol))
-        for t in ts
-    ]
-    _emit_table(args, columns, rows)
+    marginals = np.array(
+        [semi_markov_marginal(q, args.start, waits, t, tol=args.tol) for t in ts.tolist()]
+    )
+    _emit_table(args, columns, (ts, *marginals.T))
     return _EXIT_OK
 
 
@@ -265,12 +270,8 @@ def _cmd_solve(args) -> int:
     problem = RelaxationProblem(
         kernel=kernel, rate=args.c, t_max=args.tmax, step=args.h
     )
-    solution = solve_relaxation(problem)
-    rows = (
-        (float(t), float(qv), solution.est_error)
-        for t, qv in zip(solution.times, solution.values)
-    )
-    _emit_table(args, ("t", "Q", "est_error"), rows)
+    sol = solve_relaxation(problem)
+    _emit_table(args, ("t", "Q", "est_error"), (sol.times, sol.values, sol.est_error))
     return _EXIT_OK
 
 
@@ -287,7 +288,7 @@ def _simulation_plan(args) -> SimulationPlan:
 
 def _cmd_simulate(args) -> int:
     samples = simulate_statistic(_simulation_plan(args))
-    _emit_table(args, ("sample",), [(float(s),) for s in samples])
+    _emit_table(args, ("sample",), (samples,))
     return _EXIT_OK
 
 
@@ -301,22 +302,12 @@ def _cmd_compare(args) -> int:
         )
 
     report = ks_distance(build_ecdf(samples), reference)
-    config = _config(args)
+    fields = {"d": report.statistic_d, "n": report.n,
+              "threshold": report.threshold, "pass": report.passed}
     if args.format == "csv":
-        _emit_table(
-            args,
-            ("d", "n", "threshold", "pass"),
-            [(report.statistic_d, report.n, report.threshold, report.passed)],
-        )
-        return _EXIT_OK
-    doc = {
-        "config": config,
-        "d": report.statistic_d,
-        "n": report.n,
-        "threshold": report.threshold,
-        "pass": report.passed,
-    }
-    _write_text(args.out, json.dumps(doc) + "\n")
+        _emit_table(args, tuple(fields), tuple(fields.values()))
+    else:
+        _write(args.out, [json.dumps({"config": _config(args), **fields}) + "\n"])
     return _EXIT_OK
 
 

@@ -70,7 +70,8 @@ class PowerLawKernel:
 
 @dataclass(frozen=True)
 class RelaxationProblem:
-    """One relaxation run: kernel, coupling rate, horizon, and grid step."""
+    """One relaxation run: kernel, coupling rate, horizon, and grid step
+    (fewer than 2^23 steps)."""
 
     kernel: object
     rate: float = 1.0
@@ -88,6 +89,10 @@ class RelaxationProblem:
             raise DomainError(
                 f"step must lie in (0, t_max], got {self.step}"
             )
+        # the check run at half the step keeps below 2^24 nodes (~1 GB)
+        if self.t_max / self.step + 1e-9 >= 2**23:
+            raise DomainError(f"t_max / step = {self.t_max / self.step:.3g}; "
+                              "the half-step grid must keep below 2^24 nodes")
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -277,3 +281,44 @@ def test_compare_csv_format(capsys):
     _, columns, rows = parse_csv(out)
     assert columns == ["d", "n", "threshold", "pass"]
     assert rows[0][3] == "true"
+
+
+def test_bad_points_exit_two_from_the_entry_point():
+    # the real entry point: no traceback, the documented domain exit
+    src = str(Path(__file__).parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ctstat.cli", "analytic", "--stat", "sum",
+         "--jumps", "exp:1", "--waits", "exp:1", "--t", "1", "--umax", "2",
+         "--points", "-1"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "domain error: --points must be at least 1" in proc.stderr
+
+
+def test_bad_points_rejected_by_every_spanned_grid(capsys):
+    analytic = ["analytic", "--stat", "max", "--jumps", "exp:1", "--alpha", "1",
+                "--t", "1", "--umax", "2"]
+    chain = ["chain", "--q", "0,1;0,1", "--waits", "exp:1", "--tmax", "2"]
+    for base in (analytic, chain):
+        for points in ("0", "-1"):
+            code, out, err = run(capsys, base + ["--points", points])
+            assert code == 2
+            assert out == ""
+            assert "--points must be at least 1" in err
+        code, out, _ = run(capsys, base + ["--points", "1"])
+        assert code == 0
+        assert len(parse_csv(out)[2]) == 1
+
+
+def test_solve_rejects_an_oversized_grid_before_solving(capsys):
+    code, out, err = run(
+        capsys, ["solve", "--kernel", "delta", "--c", "1", "--tmax", "1", "--h", "1e-9"]
+    )
+    assert code == 2
+    assert out == ""
+    assert "2^24 nodes" in err

@@ -1,24 +1,27 @@
-"""Contract of the contour routes and the relaxation solver: right
-within budget, or raise.
+"""Contract of the contour routes, the sum laws and the relaxation
+solver: right within budget, or raise.
 
 Every Mittag-Leffler value, every Talbot inversion, every count table
-of a Mittag-Leffler stream and every power-law relaxation curve is
-checked on a seeded grid against the benchmark's reference values
-(``perfbench/oracles.py``), which never call ctstat, or against
-closed-form transform pairs.
+of a Mittag-Leffler stream, every Erlang and Irwin-Hall sum law and
+every power-law relaxation curve is checked on a seeded grid against
+the benchmark's reference values (``perfbench/oracles.py``), which
+never call ctstat, against closed-form transform pairs, or against
+sums built here from ``gammainc`` and mpmath.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from scipy.special import gammainc
+from scipy.special import gammainc, gammaln
 
 from ctstat.errors import AccuracyError
 from ctstat.laplace import invert
 from ctstat.relax import PowerLawKernel, RelaxationProblem, solve_relaxation
-from ctstat.renewal import MittagLeffler, counting_pmf
+from ctstat.renewal import Exponential, MittagLeffler, counting_pmf
 from ctstat.special import ml_one_param, ml_values
+from ctstat.stats import ExponentialJumps, StatisticKind, UniformJumps, mixture_cdf
 
 RNG_SEED = 20240601
 
@@ -84,6 +87,74 @@ def test_count_tables_meet_pgf_identity_or_raise(bench_oracles):
         err = np.max(np.abs(pgf - ref))
         assert err <= table.tail_bound + 1e-10, f"order {a}, t={t}: {err:.2e}"
     assert raised < 24
+
+
+def _within_tol_or_raised(jumps, waits, t, u, ref, tol, label):
+    """1 when mixture_cdf raised with an estimate past tol, else 0 after
+    checking the values against ref."""
+    try:
+        got = mixture_cdf(StatisticKind.SUM, jumps, waits, t, u, tol=tol)
+    except AccuracyError as exc:
+        assert exc.est_error > tol, label
+        return 1
+    err = float(np.max(np.abs(got - ref)))
+    assert err <= tol, f"{label}: {err:.2e} > tol {tol:.0e}"
+    return 0
+
+
+def test_erlang_sums_meet_tol_or_raise():
+    # exponential jumps over Poisson counts: sum_n p_n P(Gamma(n, b) <= u)
+    rng = np.random.default_rng(RNG_SEED)
+    raised = 0
+    for i, (lam, t, b) in enumerate(zip(rng.uniform(0.2, 4.0, 8), rng.uniform(0.1, 12.0, 8),
+                                        rng.uniform(0.3, 3.0, 8))):
+        mu = lam * t
+        n = np.arange(1, int(mu + 14.0 * math.sqrt(mu) + 40))
+        pmf = np.exp(n * math.log(mu) - mu - gammaln(n + 1.0))
+        u = np.concatenate([[0.0], rng.uniform(0.0, (mu + 8.0 * math.sqrt(mu) + 8.0) / b, 60)])
+        ref = math.exp(-mu) + gammainc(n[None, :], b * u[:, None]) @ pmf
+        tol = (1e-8, 1e-11)[i % 2]
+        raised += _within_tol_or_raised(
+            ExponentialJumps(b), Exponential(lam), t, u, ref, tol, f"Erlang mu={mu:.3g}, rate {b:.3g}"
+        )
+    assert raised < 8
+
+
+def _irwin_hall_poisson(mu, upper, u):
+    """P(U_1 + .. + U_N <= u), N ~ Poisson(mu), U_i uniform on (0, upper],
+    from the alternating Irwin-Hall sum at 60 digits."""
+    with mpmath.workdps(60):
+        y = mpmath.mpf(u) / mpmath.mpf(upper)
+        weight = mpmath.exp(-mpmath.mpf(mu))
+        total, n = weight, 0
+        while n < mu or weight > mpmath.mpf(10) ** -30:
+            n += 1
+            weight *= mpmath.mpf(mu) / n
+            if y >= n:
+                cdf = mpmath.mpf(1)
+            else:
+                cdf = mpmath.fsum(
+                    (-1) ** k * mpmath.binomial(n, k) * (y - k) ** n
+                    for k in range(int(mpmath.floor(y)) + 1)
+                ) / mpmath.factorial(n)
+            total += weight * cdf
+        return float(total)
+
+
+def test_irwin_hall_sums_meet_tol_or_raise():
+    rng = np.random.default_rng(RNG_SEED + 1)
+    raised = 0
+    for i, (lam, t, a) in enumerate(zip(rng.uniform(0.3, 3.0, 4), rng.uniform(0.5, 4.0, 4),
+                                        rng.uniform(0.2, 3.0, 4))):
+        mu = lam * t
+        # nodes and breakpoints of the n-fold laws, and points between
+        u = a * np.concatenate([[0.0, 1.0, 2.0], rng.uniform(0.0, mu + 6.0 * math.sqrt(mu) + 3.0, 9)])
+        ref = np.array([_irwin_hall_poisson(mu, a, x) for x in u])
+        tol = (1e-8, 1e-11)[i % 2]
+        raised += _within_tol_or_raised(
+            UniformJumps(a), Exponential(lam), t, u, ref, tol, f"Irwin-Hall mu={mu:.3g}, upper {a:.3g}"
+        )
+    assert raised < 4
 
 
 def _relaxation_gap(oracles, order, rate, t_max, step):

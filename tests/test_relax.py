@@ -68,6 +68,19 @@ def test_problem_validation():
         PowerLawKernel(1.2)
 
 
+def test_problem_caps_the_grid_before_allocating():
+    # construction only: a solve this large would take gigabytes
+    for kernel in (DeltaKernel(), PowerLawKernel(0.5)):
+        with pytest.raises(DomainError, match="2\\^24 nodes"):
+            RelaxationProblem(kernel, t_max=1.0, step=1e-9)
+        with pytest.raises(DomainError):
+            RelaxationProblem(kernel, t_max=1.0, step=5e-324)
+        with pytest.raises(DomainError):
+            RelaxationProblem(kernel, t_max=2.0**23, step=1.0)
+        # 2^23 - 1 steps: the half-step grid has 2^24 - 1 nodes
+        RelaxationProblem(kernel, t_max=2.0**23 - 1.0, step=1.0)
+
+
 def test_delta_kernel_is_exponential():
     prob = RelaxationProblem(DeltaKernel(), rate=1.0, t_max=5.0, step=0.01)
     sol = solve_relaxation(prob)
