@@ -182,7 +182,10 @@ def invert(symbol, t, method: str = "stehfest"):
 
     Scalar ``t`` returns a float, an array returns an array.  Times must
     be strictly positive.  ``method`` is "stehfest" (real axis, default)
-    or "talbot" (fixed contour, all times in one call).
+    or "talbot" (fixed contour, all times in one call).  A Talbot symbol
+    that broadcasts the nodes (shape ``t.shape + (m,)``) to a larger
+    leading shape, say a block of counts, returns that shape, an array
+    even for scalar ``t``.
 
     Raises
     ------
@@ -196,7 +199,7 @@ def invert(symbol, t, method: str = "stehfest"):
         raise DomainError("inversion times must be positive and finite")
     if method == "talbot":
         out = _talbot(symbol, t_arr)
-        return float(out) if t_arr.ndim == 0 else out
+        return float(out) if np.ndim(out) == 0 else out
     if method != "stehfest":
         raise DomainError(f"unknown inversion method {method!r}")
 

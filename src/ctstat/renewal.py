@@ -11,7 +11,9 @@ only way the other modules reach a waiting law.
 
 The number of events up to ``t`` counts epochs inclusively:
 ``N(t) = max{n : T_n <= t}`` with ``T_n`` the n-th partial sum of
-waits, so an event landing exactly at ``t`` is in the count.
+waits, so an event landing exactly at ``t`` is in the count.  Its law
+is Poisson, or one Talbot inversion per block of counts for
+Mittag-Leffler waits.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ __all__ = [
 # n_max is requested
 _PMF_MASS_TARGET = 1.0 - 1e-6
 _PMF_HARD_CAP = 10_000
+_PMF_BLOCK = 4096  # entries per contour call: 4096 x 24 nodes, about 1.5 MB
 
 
 class WaitingLaw:
@@ -263,9 +266,13 @@ def counting_pmf(
     Poisson closed form.  Other Mittag-Leffler waits invert the
     transform (1 - d(s))/s * d(s)^n on the Talbot contour, which carries
     ~1e-10 absolute error per entry; tiny negative results of the
-    quadrature are clipped to zero.  A table and its tail must account
-    for the whole mass within the budget ``1 - mass_target``; otherwise
-    AccuracyError carries the table and the gap.
+    quadrature are clipped to zero.  Each block of entries is one contour
+    call; the first spans the count's mean plus 8 sd, later ones double,
+    none exceeds 4096 entries, and the table is cut where the sequential
+    running sum first reaches ``mass_target``.  A table and its tail
+    must account for the whole mass within the budget
+    ``1 - mass_target``; otherwise AccuracyError carries the table and
+    the gap.
     """
     if not (0.0 <= t < math.inf):
         raise DomainError(f"time must be non-negative and finite, got {t}")
@@ -276,55 +283,65 @@ def counting_pmf(
     elif not (0.0 < mass_target < 1.0):
         raise DomainError(f"mass_target must lie in (0, 1), got {mass_target}")
 
-    order_one = isinstance(law, MittagLeffler) and law.order == 1.0  # Exponential(1)
-    if isinstance(law, Exponential) or order_one:
-        mu = (1.0 if order_one else law.rate) * t
+    if not isinstance(law, (Exponential, MittagLeffler)):
+        raise DomainError(f"unsupported inter-event law: {law!r}")
+    if isinstance(law, Exponential) or law.order == 1.0 or t == 0.0:
+        # Poisson counts: order one is Exponential(1); no events at t = 0
+        mu = getattr(law, "rate", 1.0) * t
+        order, x = 1.0, mu
 
-        def entry(n: int) -> float:
-            return float(_poisson_pmf(mu, np.asarray(n)))
+        def entries(lo: int, hi: int) -> np.ndarray:
+            return _poisson_pmf(mu, np.arange(lo, hi))
 
         def tail_beyond(n: int) -> float:
             # P(T_{n+1} <= t) for a sum of n+1 exponential waits
             return float(gammainc(n + 1.0, mu))
 
-    elif isinstance(law, MittagLeffler):
+    else:
         # local import: laplace imports this module at module level
-        from .laplace import LaplaceSymbol, counting_symbol, invert
+        from .laplace import LaplaceSymbol, invert
 
-        if t == 0.0:
-            entry = lambda n: 1.0 if n == 0 else 0.0
-            tail_beyond = lambda n: 0.0
-        else:
+        order, x = law.order, t**law.order
 
-            def entry(n: int) -> float:
-                return max(invert(counting_symbol(law, n), t, method="talbot"), 0.0)
+        def entries(lo: int, hi: int) -> np.ndarray:
+            # the contour nodes broadcast over the block; entries far out
+            # may overflow there, and the mass gate catches any kept
+            n = np.arange(lo, hi)[:, None]
+            sym = LaplaceSymbol(lambda s: law.survival_lt(s) * law.density_lt(s) ** n)
+            with np.errstate(over="ignore", invalid="ignore"):
+                return np.maximum(invert(sym, t, method="talbot"), 0.0)
 
-            def tail_beyond(n: int) -> float:
-                sym = LaplaceSymbol(
-                    lambda s: law.density_lt(s) ** (n + 1) / s,
-                    f"arrival cdf n={n + 1}",
-                )
-                return min(max(invert(sym, t, method="talbot"), 0.0), 1.0)
+        def tail_beyond(n: int) -> float:
+            sym = LaplaceSymbol(lambda s: law.density_lt(s) ** (n + 1) / s)
+            return min(max(invert(sym, t, method="talbot"), 0.0), 1.0)
 
-    else:
-        raise DomainError(f"unsupported inter-event law: {law!r}")
-
-    probs = []
-    if n_max is not None:
-        probs = [entry(n) for n in range(n_max + 1)]
-    else:
-        acc = 0.0
-        for n in range(_PMF_HARD_CAP + 1):
-            p = entry(n)
-            probs.append(p)
-            acc += p
-            if acc >= mass_target:
+    # first block mean + 8 sd + 16 of the count (Laskin 2003), doubling
+    # after; min() puts the cap first, so a NaN or inf size falls to it
+    mean = x / math.gamma(1.0 + order)
+    var = 2.0 * x * x / math.gamma(1.0 + 2.0 * order) - mean * mean + mean
+    size = _PMF_BLOCK
+    if n_max is None:
+        size = int(min(_PMF_BLOCK, mean + 8.0 * math.sqrt(max(var, 0.0)) + 16.0))
+    stop = (_PMF_HARD_CAP if n_max is None else n_max) + 1
+    blocks, acc, lo = [], 0.0, 0
+    while lo < stop:
+        block = entries(lo, min(lo + size, stop))
+        blocks.append(block)
+        if n_max is None:
+            # the sequential running sum, carried from block to block
+            running = np.cumsum(np.concatenate(([acc], block)))[1:]
+            hit = np.flatnonzero(running >= mass_target)
+            if hit.size:
+                blocks[-1] = block[: hit[0] + 1]
                 break
-    table = np.asarray(probs, dtype=float)
+            acc = running[-1]
+        lo += block.size
+        size = min(2 * size, _PMF_BLOCK)
+    table = np.concatenate(blocks)
     tail = tail_beyond(len(table) - 1)
     # also catches a table whose entries alone sum past 1 + budget
     gap = abs(1.0 - math.fsum(table) - tail)
-    if gap > 1.0 - mass_target:
+    if not gap <= 1.0 - mass_target:  # a NaN gap fails too
         raise AccuracyError(
             f"count table at t={t} and its tail miss unit mass by {gap:.3e}, "
             f"above the budget {1.0 - mass_target:.3e}",

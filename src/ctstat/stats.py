@@ -531,6 +531,16 @@ def statistic_transform(kind: StatisticKind, jumps, w: float) -> float:
     return float(jumps.lst(w))  # CapabilityError for Pareto
 
 
+def _power_rows(matrix: np.ndarray, i: int, n: int) -> np.ndarray:
+    """Rows e_i matrix**k, k < n: the m rows held times matrix**m give
+    the next m, then matrix**m is squared."""
+    rows, power = np.eye(matrix.shape[0])[i : i + 1], matrix
+    while len(rows) < n:
+        rows = np.vstack((rows, rows @ power))
+        power = power @ power
+    return rows[:n]
+
+
 def semi_markov_marginal(q: TransitionMatrix, i: int, waits, t: float, tol: float = 1e-8) -> np.ndarray:
     """Row i of the chain's transition law at time t: P(state at t = j |
     started in i) for every state j, for a chain over ``q``.
@@ -542,11 +552,14 @@ def semi_markov_marginal(q: TransitionMatrix, i: int, waits, t: float, tol: floa
         p_ij(t) = sum_n pmf_n(t) * (q**n)_ij
 
     with the n = 0 term the no-event survival times the indicator of
-    i == j.  The count table is built to hold all but half of ``tol``
-    of the mass; since every matrix power entry is a probability, its
-    uncovered mass bounds the truncation error of each entry, and the
-    row sums land within ``tol`` of one.  Raises AccuracyError, carrying
-    the row, when the table cannot cover the mass to within ``tol``.
+    i == j.  The rows e_i q**n, n < len(table), come by power doubling,
+    one matrix product per doubling.  The count table is built to hold
+    all but half of ``tol`` of the mass; since every matrix power entry
+    is a probability, its uncovered mass bounds the truncation error of
+    each entry, and the row sums land within ``tol`` of one.  When the
+    table misses its mass gate, or cannot cover the mass to within
+    ``tol``, AccuracyError carries the row formed from the table it had
+    and the table's gap or uncovered mass.
     """
     if not isinstance(q, TransitionMatrix):
         raise DomainError(f"q must be a TransitionMatrix, got {q!r}")
@@ -556,15 +569,12 @@ def semi_markov_marginal(q: TransitionMatrix, i: int, waits, t: float, tol: floa
         raise DomainError(f"time must be non-negative and finite, got {t}")
     if not (0.0 < tol < 1.0):
         raise DomainError(f"tol must lie in (0, 1), got {tol}")
-    table = counting_pmf(waits, t, mass_target=1.0 - 0.5 * tol)
-    pmf = table.probabilities
-    # row i of successive matrix powers, by repeated multiplication
-    row = np.zeros(q.n_states)
-    row[i] = 1.0
-    value = pmf[0] * row
-    for n in range(1, len(pmf)):
-        row = row @ q.matrix
-        value += pmf[n] * row
+    try:
+        table = counting_pmf(waits, t, mass_target=1.0 - 0.5 * tol)
+    except AccuracyError as exc:
+        row = exc.value @ _power_rows(q.matrix, i, exc.value.size)
+        raise AccuracyError(str(exc), value=row, est_error=exc.est_error) from exc
+    value = table.probabilities @ _power_rows(q.matrix, i, len(table))
     if table.tail_bound > tol:
         raise AccuracyError(
             f"count table leaves {table.tail_bound:.3e} mass uncovered, "

@@ -14,6 +14,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import gammainc, gammaln
 
 from ctstat.errors import AccuracyError
@@ -21,7 +22,7 @@ from ctstat.laplace import invert
 from ctstat.relax import PowerLawKernel, RelaxationProblem, solve_relaxation
 from ctstat.renewal import Exponential, MittagLeffler, counting_pmf
 from ctstat.special import ml_one_param, ml_values
-from ctstat.stats import ExponentialJumps, StatisticKind, UniformJumps, mixture_cdf
+from ctstat.stats import ExponentialJumps, ParetoJumps, StatisticKind, UniformJumps, mixture_cdf
 
 RNG_SEED = 20240601
 
@@ -89,6 +90,14 @@ def test_count_tables_meet_pgf_identity_or_raise(bench_oracles):
     assert raised < 24
 
 
+def test_count_tables_match_prabhakar_pmf(bench_oracles):
+    for a, t in ((0.5, 10.0), (0.7, 20.0), (0.9, 5.0)):
+        table = counting_pmf(MittagLeffler(a), t)
+        ref = bench_oracles.fractional_pmf(a, t, len(table) - 1)
+        err = np.max(np.abs(table.probabilities - ref))
+        assert err < 1e-10, f"order {a}, t={t}: {err:.2e}"
+
+
 def _within_tol_or_raised(jumps, waits, t, u, ref, tol, label):
     """1 when mixture_cdf raised with an estimate past tol, else 0 after
     checking the values against ref."""
@@ -118,6 +127,42 @@ def test_erlang_sums_meet_tol_or_raise():
             ExponentialJumps(b), Exponential(lam), t, u, ref, tol, f"Erlang mu={mu:.3g}, rate {b:.3g}"
         )
     assert raised < 8
+
+
+def _pareto_two_jump_cdf(mu, scale, exponent, u):
+    """P(sum <= u) below three scales, where at most two jumps fit:
+    e^-mu (1 + mu F(u) + mu^2/2 F*2(u)), F*2 a single quad integral."""
+
+    def cdf(x):
+        return 1.0 - (scale / x) ** exponent if x >= scale else 0.0
+
+    def two_fold(x):
+        if x <= 2.0 * scale:
+            return 0.0
+        dens = lambda y: exponent * scale**exponent / y ** (exponent + 1.0) * cdf(x - y)
+        return quad(dens, scale, x - scale, epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+
+    return math.exp(-mu) * (1.0 + mu * cdf(u) + 0.5 * mu * mu * two_fold(u))
+
+
+def test_pareto_sums_meet_tol_or_raise(bench_oracles):
+    # Pareto jumps over Poisson counts: one jump at most below two
+    # scales, two at most below three
+    rng = np.random.default_rng(RNG_SEED + 2)
+    raised = 0
+    for i, (lam, t, scale, exponent) in enumerate(zip(rng.uniform(0.3, 3.0, 6), rng.uniform(0.5, 2.0, 6),
+                                                      rng.uniform(0.3, 2.0, 6), rng.uniform(0.6, 3.0, 6))):
+        mu = lam * t
+        low = scale * np.concatenate([[0.0, 0.5, 1.0], rng.uniform(0.0, 2.0, 5)])
+        mid = scale * np.concatenate([[2.0, 2.003], rng.uniform(2.0, 3.0, 5)])
+        ref = np.concatenate([bench_oracles.pareto_poisson_low_cdf(mu, scale, exponent, low),
+                              [_pareto_two_jump_cdf(mu, scale, exponent, x) for x in mid]])
+        tol = (1e-8, 1e-10)[i % 2]
+        raised += _within_tol_or_raised(
+            ParetoJumps(scale, exponent), Exponential(lam), t, np.concatenate([low, mid]), ref, tol,
+            f"Pareto mu={mu:.3g}, scale {scale:.3g}, exponent {exponent:.3g}",
+        )
+    assert raised < 6
 
 
 def _irwin_hall_poisson(mu, upper, u):

@@ -4,10 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammainc
 from scipy.stats import poisson
 
+import ctstat.laplace
 from ctstat.errors import AccuracyError, DomainError
+from ctstat.laplace import LaplaceSymbol, counting_symbol, invert
 from ctstat.renewal import (
+    _PMF_BLOCK,
+    _poisson_pmf,
     CountingPmfTable,
     EpochSequence,
     Exponential,
@@ -18,6 +23,35 @@ from ctstat.renewal import (
     sample_waiting_time,
 )
 from ctstat.special import ml_survival
+
+
+def entry_reference(law, t, n_max=None, mass_target=1.0 - 1e-6):
+    """The count table one Talbot inversion per entry, cut by a scalar
+    running sum: the direct form of the block route in the package.
+    Returns the table and whether its mass gate fails."""
+    if isinstance(law, Exponential) or law.order == 1.0 or t == 0.0:
+        mu = getattr(law, "rate", 1.0) * t
+        entry = lambda n: float(_poisson_pmf(mu, np.asarray(n)))
+        tail = lambda n: float(gammainc(n + 1.0, mu))
+    else:
+        entry = lambda n: max(invert(counting_symbol(law, n), t, method="talbot"), 0.0)
+
+        def tail(n):
+            sym = LaplaceSymbol(lambda s: law.density_lt(s) ** (n + 1) / s)
+            return min(max(invert(sym, t, method="talbot"), 0.0), 1.0)
+
+    if n_max is not None:
+        probs = [entry(n) for n in range(n_max + 1)]
+    else:
+        probs, acc = [], 0.0
+        for n in range(10_001):
+            probs.append(entry(n))
+            acc += probs[-1]
+            if acc >= mass_target:
+                break
+    table = np.array(probs)
+    gap = abs(1.0 - math.fsum(table) - tail(table.size - 1))
+    return table, not gap <= 1.0 - mass_target
 
 
 def ks_statistic(sorted_sample, cdf_values):
@@ -183,6 +217,65 @@ def test_counting_pmf_mass_gate_raises():
     assert info.value.est_error > 1e-6
     total = info.value.value.sum()
     assert abs(1.0 - total) > 1e-6
+
+
+def _table_or_raised(law, t, n_max, mass_target):
+    try:
+        return counting_pmf(law, t, n_max=n_max, mass_target=mass_target).probabilities, False
+    except AccuracyError as exc:
+        return exc.value, True
+
+
+def test_block_tables_match_entry_reference():
+    # the block route sums each row of weighted contour nodes in BLAS
+    # matrix-vector order, the reference in dot-product order; with node
+    # terms ~1e4 times the entry the two differ by up to ~1.2e-13
+    rng = np.random.default_rng(20261020)
+    orders = rng.uniform(0.3, 0.99, 30)
+    times = np.concatenate([[0.0, 0.01, 200.0], np.exp(rng.uniform(math.log(0.01), math.log(200.0), 27))])
+    cases = [(MittagLeffler(a), t) for a, t in zip(orders, times)]
+    cases += [(law, t) for law in (Exponential(2.5), MittagLeffler(1.0)) for t in (0.0, 3.0, 150.0)]
+    raised = 0
+    for law, t in cases:
+        for n_max, mass_target in ((None, 1.0 - 1e-6), (None, 1.0 - 5e-9), (40, 1.0 - 1e-6)):
+            got, got_raised = _table_or_raised(law, t, n_max, mass_target)
+            ref, ref_raised = entry_reference(law, t, n_max, mass_target)
+            label = f"{law!r}, t={t}, n_max={n_max}, target {mass_target}"
+            assert got.size == ref.size, label
+            assert got_raised == ref_raised, label
+            raised += got_raised
+            if not got_raised:
+                assert np.max(np.abs(got - ref)) < 2e-13, label
+    assert 0 < raised < len(cases)
+
+
+@pytest.fixture
+def invert_calls(monkeypatch):
+    """Counts the calls that reach ``ctstat.laplace.invert``."""
+    calls = []
+    monkeypatch.setattr(ctstat.laplace, "invert", lambda *a, **k: calls.append(1) or invert(*a, **k))
+    return calls
+
+
+def test_counting_pmf_explicit_n_max_spans_bounded_blocks(invert_calls):
+    # 20001 entries come in blocks of at most _PMF_BLOCK rows, one
+    # contour call each, plus one for the tail
+    law, t, n_max = MittagLeffler(0.7), 5.0, 20_000
+    tab = counting_pmf(law, t, n_max=n_max)
+    assert len(tab) == n_max + 1
+    assert len(invert_calls) == math.ceil((n_max + 1) / _PMF_BLOCK) + 1
+    edges = [k * _PMF_BLOCK + d for k in range(1, 5) for d in (-1, 0)] + [0, 1, n_max]
+    for n in edges:
+        ref = max(invert(counting_symbol(law, n), t, method="talbot"), 0.0)
+        assert abs(tab.probabilities[n] - ref) < 2e-13, f"entry {n}"
+
+
+def test_counting_pmf_contour_calls_per_table(invert_calls):
+    # a 318-entry table costs one call per block and one for the tail
+    tab = counting_pmf(MittagLeffler(0.7), 500.0)
+    assert len(tab) >= 300
+    assert len(invert_calls) <= 4
+
 
 def test_counting_pmf_at_zero():
     tab = counting_pmf(MittagLeffler(0.6), 0.0)

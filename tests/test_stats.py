@@ -30,7 +30,7 @@ from ctstat.stats import (
     statistic_transform,
     sum_cdf_series,
 )
-from ctstat.stats import _lattice_mixture, _sum_mixture
+from ctstat.stats import _lattice_mixture, _power_rows, _sum_mixture
 
 # Sum-statistic cdf for unit exponential waits and unit exponential
 # jumps at t = 2, from 60-digit numerical inversion of the compound
@@ -665,6 +665,77 @@ def test_semi_markov_marginal_rows_sum_to_one():
             for i in range(3):
                 total = semi_markov_marginal(q, i, waits, t, tol=tol).sum()
                 assert abs(total - 1.0) < 2.0 * tol
+
+
+def power_rows_reference(matrix, i, n):
+    """Rows e_i matrix**k, k < n, one vector-matrix product per power:
+    the direct form of the doubling ladder in the package."""
+    row = np.eye(matrix.shape[0])[i]
+    rows = [row]
+    for _ in range(1, n):
+        row = row @ matrix
+        rows.append(row)
+    return np.array(rows)
+
+
+def _random_chain(rng, k, absorbing=False):
+    m = rng.uniform(0.0, 1.0, (k, k)) ** 3
+    if absorbing:
+        m[-1] = np.eye(k)[-1]
+    return m / m.sum(axis=1, keepdims=True)
+
+
+def test_power_ladder_matches_sequential_products():
+    rng = np.random.default_rng(20261020)
+    lengths = [1, 2, 3] + [2**j + d for j in (2, 5, 10) for d in (-1, 0, 1)]
+    for k in (2, 3, 4, 5):
+        for absorbing in (False, True):
+            m = _random_chain(rng, k, absorbing)
+            for i in range(k):
+                for n in lengths:
+                    got = _power_rows(m, i, n)
+                    ref = power_rows_reference(m, i, n)
+                    assert got.shape == ref.shape == (n, k)
+                    assert np.max(np.abs(got - ref)) < 1e-13, f"{k} states, i={i}, n={n}"
+
+
+def test_semi_markov_marginal_matches_sequential_loop():
+    # random chains and waits against the per-count product loop over
+    # the same count table; both raise together
+    rng = np.random.default_rng(20261021)
+    raised = 0
+    for case in range(40):
+        k = int(rng.integers(2, 6))
+        q = TransitionMatrix(_random_chain(rng, k, absorbing=case % 4 == 0))
+        waits = MittagLeffler(rng.uniform(0.3, 1.0)) if case % 2 else Exponential(rng.uniform(0.2, 3.0))
+        t, i, tol = float(np.exp(rng.uniform(-3.0, math.log(200.0)))), int(rng.integers(k)), 1e-8
+        try:
+            table = counting_pmf(waits, t, mass_target=1.0 - 0.5 * tol)
+        except AccuracyError as exc:
+            pmf, fails = exc.value, True
+        else:
+            pmf, fails = table.probabilities, table.tail_bound > tol
+        ref = pmf @ power_rows_reference(q.matrix, i, pmf.size)
+        try:
+            got = semi_markov_marginal(q, i, waits, t, tol=tol)
+            assert not fails
+        except AccuracyError as exc:
+            assert fails
+            got = exc.value
+            raised += 1
+        assert got.shape == (k,)
+        assert np.max(np.abs(got - ref)) < 1e-13, f"case {case}"
+    assert 0 < raised < 40
+
+
+def test_semi_markov_marginal_error_carries_the_row():
+    # the order-0.95 table misses its mass gate at t = 100; the error
+    # must carry the chain's row, not the count table
+    q = TransitionMatrix([[0.3, 0.7], [0.6, 0.4]])
+    with pytest.raises(AccuracyError) as info:
+        semi_markov_marginal(q, 0, MittagLeffler(0.95), 100.0)
+    assert info.value.value.shape == (2,)
+    assert info.value.est_error > 1e-8
 
 
 def test_semi_markov_marginal_validation():
