@@ -19,8 +19,12 @@ with unit-rate exponential jumps give the classical double-exponential
 law exp(-t * exp(-w)).
 
 The sum mixture has two routes.  Jump laws with an exact n-fold cdf
-(Erlang for exponential jumps, lattice steps for degenerate jumps) are
-summed term by term.  Uniform and Pareto jumps instead apply the count
+evaluate the whole mixture in one pass over the count table: for
+exponential jumps it is the table's mass less sum_k T_k * Pois(k;
+rate * u), T_k the mass beyond k, with the rounding of its one
+exponential per count and point as the error estimate; for degenerate
+jumps it is the cumulative table, read exactly.  Uniform and Pareto
+jumps instead apply the count
 generating function G(z) = sum_n pmf_n z^n to the transform of the jump
 law discretized on a lattice, so that one FFT pair yields every
 convolution power at once (Embrechts & Frei 2009): the lattice is
@@ -49,7 +53,7 @@ from enum import Enum
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
-from scipy.special import gammainc
+from scipy.special import gammaln
 
 from .errors import AccuracyError, CapabilityError, DomainError
 from .renewal import (
@@ -75,8 +79,9 @@ __all__ = [
     "semi_markov_marginal",
 ]
 
-# accuracy of one exact n-fold cdf (incomplete gamma, lattice step)
-_EXACT_TERM_ERROR = 1e-14
+# points per block of the Erlang mixture's sweep
+_SWEEP_BLOCK = 8192
+_EPS = np.finfo(float).eps
 
 # sum lattice: cells per jump-law piece at the coarsest step, cap on the
 # cells of the finest step, padding factor and tilt (theta * length)
@@ -104,8 +109,8 @@ def _check_jump_law(jumps) -> None:
             raise DomainError(
                 f"jump law {jumps!r} lacks a callable {attr!r} method"
             )
-    if not (callable(getattr(jumps, "nfold_cdf", None)) or hasattr(jumps, "piece")):
-        raise DomainError(f"jump law {jumps!r} has neither 'nfold_cdf' nor 'piece'")
+    if not (callable(getattr(jumps, "count_mixture", None)) or hasattr(jumps, "piece")):
+        raise DomainError(f"jump law {jumps!r} has neither 'count_mixture' nor 'piece'")
 
 
 def _nonnegative_array(x, name: str):
@@ -144,11 +149,51 @@ class ExponentialJumps:
     def lst(self, s):
         return self.rate / (self.rate + s)
 
-    def nfold_cdf(self, x, n: int):
-        # Erlang(n, rate): regularized lower incomplete gamma
-        if n == 0:
-            return (np.asarray(x, dtype=float) >= 0.0).astype(float)
-        return gammainc(n, self.rate * np.maximum(np.asarray(x, dtype=float), 0.0))
+    def count_mixture(self, pmf, x):
+        """sum_n pmf_n * P(Erlang(n, rate) <= x) at every x >= 0, and a
+        bound on its rounding error.
+
+        With P(n, y) = 1 - sum_{k<n} w_k(y), w_k the Poisson(y) pmf
+        (A&S 6.5.13), the mixture is M - sum_k T_k w_k(rate * x), with M
+        the mass of ``pmf`` and T_k = sum_{n>k} pmf_n.  Each count costs
+        one exp of k log y - y + log T_k - lgamma(k + 1), a form that
+        cannot underflow before the weight's peak however large y is;
+        the points go through one set of work buffers, _SWEEP_BLOCK at a
+        time.  The exponent is rounded to within eps * (k |log y| + y +
+        lgamma(k + 1)); below y = 1 the weight's factor y^k / k! absorbs
+        the log, and the weights sum to one, so with N entries the error
+        is within eps * (4N + (N - 1) log+ y + y + lgamma(N)) at the
+        largest y, the 4N covering the sums over the table.
+        """
+        pmf = np.asarray(pmf, dtype=float)
+        x = np.asarray(x, dtype=float)
+        n = pmf.size
+        y_max = self.rate * float(x.max(initial=0.0))
+        est = _EPS * (4 * n + (n - 1) * math.log(max(y_max, 1.0)) + y_max + math.lgamma(n))
+        tails = np.cumsum(pmf[:0:-1])[::-1]  # T_k, k < n - 1
+        k = np.flatnonzero(tails > 0.0)
+        c = np.log(tails[k]) - gammaln(k + 1.0)
+        flat = x.ravel()
+        out = np.empty_like(flat)
+        y, logy, work = (np.empty(min(flat.size, _SWEEP_BLOCK)) for _ in range(3))
+        for lo in range(0, flat.size, _SWEEP_BLOCK):
+            acc = out[lo : lo + _SWEEP_BLOCK]
+            yb, lg, w = y[: acc.size], logy[: acc.size], work[: acc.size]
+            np.multiply(flat[lo : lo + acc.size], self.rate, out=yb)
+            lg.fill(-np.inf)
+            np.log(yb, out=lg, where=yb > 0.0)
+            acc.fill(0.0)
+            for kk, ck in zip(k, c):
+                if kk:
+                    np.multiply(lg, kk, out=w)
+                    w -= yb
+                else:  # w_0 = e^-y, also at y = 0, where 0 * log y is NaN
+                    np.negative(yb, out=w)
+                w += ck
+                np.exp(w, out=w)
+                acc += w
+        np.subtract(pmf.sum(), out, out=out)
+        return out.reshape(x.shape), est
 
     def sample(self, rng: np.random.Generator, size=None):
         return _draw(rng, size, lambda n: -np.log(1.0 - rng.random(n)) / self.rate)
@@ -275,8 +320,12 @@ class DegenerateJumps:
     def lst(self, s):
         return np.exp(-self.value * np.asarray(s))
 
-    def nfold_cdf(self, x, n: int):
-        return (np.asarray(x, dtype=float) >= n * self.value).astype(float)
+    def count_mixture(self, pmf, x):
+        """sum_n pmf_n * 1[n * value <= x] at every x >= 0, exactly: the
+        cumulative table read at the last count whose steps fit under x."""
+        pmf = np.asarray(pmf, dtype=float)
+        steps = self.value * np.arange(pmf.size)
+        return np.cumsum(pmf)[np.searchsorted(steps, x, side="right") - 1], 0.0
 
     def sample(self, rng: np.random.Generator, size=None):
         return _draw(rng, size, lambda n: np.full(n, self.value))
@@ -322,11 +371,14 @@ def mixture_cdf(kind: StatisticKind, jumps, waits, t: float, u, tol: float = 1e-
     (see :func:`max_cdf`) within the 1e-10 guarantee of the
     Mittag-Leffler evaluator, so ``tol`` governs the sum only.  The sum
     reads a count table built to hold all but a quarter of ``tol`` of
-    the mass, either term by term (exponential and degenerate jumps) or
-    through its generating function on a jump lattice (uniform and
-    Pareto jumps), and raises AccuracyError when its total error bound
-    cannot be pushed below ``tol``.  Scalar ``u`` gives a float, an
-    array gives an array of the same shape.
+    the mass, either in one pass of the jump law's ``count_mixture``
+    (exponential and degenerate jumps) or through its generating
+    function on a jump lattice (uniform and Pareto jumps), and raises
+    AccuracyError when its total error bound cannot be pushed below
+    ``tol``.  A count table that misses its mass gate raises too, with
+    the sum over the table it had and the table's gap added to the
+    bound.  Scalar ``u`` gives a float, an array gives an array of the
+    same shape.
     """
     if not isinstance(kind, StatisticKind):
         raise DomainError(f"kind must be a StatisticKind, got {kind!r}")
@@ -338,7 +390,13 @@ def mixture_cdf(kind: StatisticKind, jumps, waits, t: float, u, tol: float = 1e-
     _check_waiting_law(waits)
     if kind is StatisticKind.MAX:
         return _max_mixture(jumps, waits, t, u)
-    table = counting_pmf(waits, t, mass_target=1.0 - 0.25 * tol)
+    try:
+        table = counting_pmf(waits, t, mass_target=1.0 - 0.25 * tol)
+    except AccuracyError as exc:
+        # the table's gap to unit mass stands in for its tail
+        u_arr, scalar = _nonnegative_array(u, "u")
+        values, est = _sum_values(exc.value, exc.est_error, jumps, u_arr, tol)
+        raise AccuracyError(str(exc), value=_cdf_out(values, scalar), est_error=est) from exc
     return _sum_mixture(table, jumps, u, tol)
 
 
@@ -350,41 +408,49 @@ def _max_mixture(jumps, waits, t: float, w):
     return float(out[0]) if scalar else out.reshape(w_arr.shape)
 
 
+def _cdf_out(values, scalar: bool):
+    """Values clipped to [0, 1], a float for scalar input; None stays."""
+    if values is None:
+        return None
+    values = np.clip(values, 0.0, 1.0)
+    return float(values[()]) if scalar else values
+
+
+def _sum_values(pmf: np.ndarray, tail: float, jumps, u_arr: np.ndarray, tol: float):
+    """sum_n pmf_n * F*n(u) and its error bound, ``tail`` included.
+
+    Jump laws with a ``count_mixture`` method evaluate the mixture
+    themselves; all others go through the jump lattice of
+    :func:`_lattice_mixture`, given what ``tol`` leaves after the tail,
+    or ``tol`` itself when the tail alone exceeds it.
+    """
+    if callable(getattr(jumps, "count_mixture", None)):
+        values, est = jumps.count_mixture(pmf, u_arr)
+    else:
+        values, est = _lattice_mixture(pmf, jumps, u_arr, tol - tail if tail < tol else tol)
+    return values, est + tail
+
+
 def _sum_mixture(table: CountingPmfTable, jumps, u, tol: float):
     """Cdf of the random sum with event counts drawn from ``table``.
 
-    Jump laws with an exact n-fold cdf are summed term by term,
-    sum_n pmf_n * F*n(u).  All others go through the jump lattice of
-    :func:`_lattice_mixture`, whose extrapolation estimate enters the
-    bound.  The count mass beyond the table (``table.tail_bound``) is
-    always part of the bound; AccuracyError, carrying the best values,
-    is raised when the bound exceeds ``tol``.
+    The count mass beyond the table (``table.tail_bound``) is always
+    part of the bound (see :func:`_sum_values`); AccuracyError, carrying
+    the best values, is raised when the tail reaches ``tol`` or the
+    bound exceeds it.
     """
     u_arr, scalar = _nonnegative_array(u, "u")
-    pmf = table.probabilities
     tail = table.tail_bound
-    if tail >= tol:
+    values, est = _sum_values(table.probabilities, tail, jumps, u_arr, tol)
+    values = _cdf_out(values, scalar)
+    if tail >= tol or est > tol:
         raise AccuracyError(
-            f"count table leaves {tail:.3e} mass uncovered, above tol={tol:.3e}",
-            value=None,
-            est_error=tail,
-        )
-    if callable(getattr(jumps, "nfold_cdf", None)):
-        values = sum(p * jumps.nfold_cdf(u_arr, n) for n, p in enumerate(pmf))
-        est = tail + _EXACT_TERM_ERROR
-    else:
-        values, est = _lattice_mixture(pmf, jumps, u_arr, tol - tail)
-        est += tail
-    if values is not None and scalar:
-        values = float(values[()])
-    if est > tol:
-        raise AccuracyError(
-            f"sum cdf error bound {est:.3e} exceeds tol={tol:.3e}",
+            f"sum cdf error bound {est:.3e} (count table tail {tail:.3e}) "
+            f"exceeds tol={tol:.3e}",
             value=values,
             est_error=est,
         )
-    values = np.clip(values, 0.0, 1.0)
-    return float(values) if scalar else values
+    return values
 
 
 def _half_cells(mass: np.ndarray) -> np.ndarray:

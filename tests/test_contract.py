@@ -22,7 +22,15 @@ from ctstat.laplace import invert
 from ctstat.relax import PowerLawKernel, RelaxationProblem, solve_relaxation
 from ctstat.renewal import Exponential, MittagLeffler, counting_pmf
 from ctstat.special import ml_one_param, ml_values
-from ctstat.stats import ExponentialJumps, ParetoJumps, StatisticKind, UniformJumps, mixture_cdf
+from ctstat.stats import (
+    DegenerateJumps,
+    ExponentialJumps,
+    ParetoJumps,
+    StatisticKind,
+    UniformJumps,
+    _sum_mixture,
+    mixture_cdf,
+)
 
 RNG_SEED = 20240601
 
@@ -127,6 +135,54 @@ def test_erlang_sums_meet_tol_or_raise():
             ExponentialJumps(b), Exponential(lam), t, u, ref, tol, f"Erlang mu={mu:.3g}, rate {b:.3g}"
         )
     assert raised < 8
+
+
+def _erlang_mixture_mp(pmf, y):
+    """sum_n pmf_n P(n, y) at 40 digits, P the regularized lower
+    incomplete gamma, stepped up by P(n + 1, y) = P(n, y) - e^-y y^n / n!
+    (A&S 6.5.21), and the gap of the last step to mpmath's gammainc."""
+    with mpmath.workdps(40):
+        y = mpmath.mpf(y)
+        weight, cdf, terms = mpmath.exp(-y), mpmath.mpf(1), [mpmath.mpf(pmf[0])]
+        for n in range(1, len(pmf)):
+            cdf -= weight
+            weight *= y / n
+            terms.append(mpmath.mpf(pmf[n]) * cdf)
+        anchor = mpmath.gammainc(len(pmf) - 1, 0, y, regularized=True)
+        return float(mpmath.fsum(terms)), float(cdf - anchor)
+
+
+def test_erlang_sum_estimate_covers_error():
+    # exponential jumps over Poisson counts, up to 523 table entries:
+    # the one-pass mixture against the same table summed at 40 digits
+    for mu, rate in ((7.7, 1.0), (31.5, 2.5), (100.0, 1.0), (400.0, 0.5)):
+        jumps = ExponentialJumps(rate)
+        u = np.linspace(0.0, (mu + 8.0 * math.sqrt(2.0 * mu)) / rate, 41)
+        table = counting_pmf(Exponential(1.0), mu, mass_target=1.0 - 0.25e-8)
+        values, est = jumps.count_mixture(table.probabilities, u)
+        ref, gaps = np.array([_erlang_mixture_mp(table.probabilities, rate * x) for x in u]).T
+        assert np.max(np.abs(gaps)) < 1e-30, f"mu={mu}: oracle off mpmath gammainc"
+        err = float(np.max(np.abs(values - ref)))
+        assert err <= est, f"mu={mu}: est {est:.2e} < {err:.2e}"
+        got = mixture_cdf(StatisticKind.SUM, jumps, Exponential(1.0), mu, u)
+        assert np.array_equal(got, np.clip(values, 0.0, 1.0))
+
+
+def test_sum_errors_carry_the_cdf():
+    # a count table that misses its mass gate (order 0.95, t = 100), and
+    # one that leaves more than tol uncovered: both raise with the sum
+    # cdf at every u, not the table or nothing
+    u = np.linspace(0.0, 50.0, 7)
+    short = counting_pmf(Exponential(1.0), 2.0, n_max=3)
+    for jumps in (UniformJumps(1.0), ExponentialJumps(1.0), DegenerateJumps(1.0)):
+        for call in (lambda: mixture_cdf(StatisticKind.SUM, jumps, MittagLeffler(0.95), 100.0, u),
+                     lambda: _sum_mixture(short, jumps, u, 1e-8)):
+            with pytest.raises(AccuracyError) as info:
+                call()
+            value = info.value.value
+            assert value.shape == u.shape, f"{jumps!r}: value shape {value.shape}"
+            assert np.all((value >= 0.0) & (value <= 1.0)), f"{jumps!r}"
+            assert info.value.est_error > 1e-8
 
 
 def _pareto_two_jump_cdf(mu, scale, exponent, u):

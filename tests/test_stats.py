@@ -10,6 +10,7 @@ import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import gammainc
 
 import ctstat
 from ctstat.errors import AccuracyError, CapabilityError, DomainError
@@ -185,21 +186,20 @@ def test_jump_transforms():
 
 
 def test_erlang_nfold():
-    from scipy.special import gammainc
-
+    # the mixture over the one-hot table e_n is the n-fold cdf
     ej = ExponentialJumps(1.5)
     x = np.array([0.5, 2.0, 7.0])
     for n in (1, 4, 9):
-        assert np.allclose(ej.nfold_cdf(x, n), gammainc(n, 1.5 * x), atol=1e-15)
-    assert float(ej.nfold_cdf(0.0, 3)) == 0.0
-    assert float(ej.nfold_cdf(5.0, 0)) == 1.0
+        assert np.allclose(ej.count_mixture(np.eye(n + 1)[n], x)[0], gammainc(n, 1.5 * x), atol=1e-15)
+    assert float(ej.count_mixture(np.eye(4)[3], 0.0)[0]) == 0.0
+    assert float(ej.count_mixture(np.eye(1)[0], 5.0)[0]) == 1.0
 
 
 def test_degenerate_nfold_is_lattice():
     dj = DegenerateJumps(0.5)
     x = np.array([0.0, 0.49, 0.5, 1.49, 1.5])
-    assert np.array_equal(dj.nfold_cdf(x, 3), [0.0, 0.0, 0.0, 0.0, 1.0])
-    assert np.array_equal(dj.nfold_cdf(x, 0), np.ones(5))
+    assert np.array_equal(dj.count_mixture(np.eye(4)[3], x)[0], [0.0, 0.0, 0.0, 0.0, 1.0])
+    assert np.array_equal(dj.count_mixture(np.eye(1)[0], x)[0], np.ones(5))
 
 
 def test_jump_sampling_matches_cdf():
@@ -287,7 +287,7 @@ def test_sum_mixture_heavy_tailed_waits():
     u = np.array([0.5, 2.0, 6.0])
     direct = table.probabilities[0] * np.ones_like(u)
     for n in range(1, len(table.probabilities)):
-        direct += table.probabilities[n] * jumps.nfold_cdf(u, n)
+        direct += table.probabilities[n] * gammainc(n, u)
     got = mixture_cdf(StatisticKind.SUM, jumps, waits, 1.0, u, tol=1e-7)
     assert np.max(np.abs(got - direct)) < 1e-7
 
