@@ -1,17 +1,19 @@
 """Decay under a memory kernel, solved step by step.
 
-A delta kernel forgets instantly and gives plain exponential decay; a
-power-law kernel drags the whole history along and the decay follows
-the Mittag-Leffler survival instead.  The script solves both, compares
-against the closed forms, and shows how the solver's self-reported
-error bound tracks the true error as the step shrinks.
+The kernel is the renewal density of a waiting law.  Exponential waits
+give a memoryless kernel and plain exponential decay; Mittag-Leffler
+waits give a power-law kernel that drags the whole history along, and
+the decay follows the Mittag-Leffler survival instead.  The script
+solves both, compares against the closed forms, and shows how the
+solver's self-reported error bound tracks the true error as the step
+shrinks.
 """
 
 import numpy as np
 
 from ctstat import (
-    DeltaKernel,
-    PowerLawKernel,
+    Exponential,
+    MittagLeffler,
     RelaxationProblem,
     ml_survival,
     solve_relaxation,
@@ -20,10 +22,10 @@ from ctstat import (
 order = 0.6
 for t in (0.5, 1.0, 2.0):
     delta = solve_relaxation(
-        RelaxationProblem(DeltaKernel(), rate=1.0, t_max=2.0, step=0.01)
+        RelaxationProblem(Exponential(1.0), rate=1.0, t_max=2.0, step=0.01)
     )
     power = solve_relaxation(
-        RelaxationProblem(PowerLawKernel(order), rate=1.0, t_max=2.0, step=0.002)
+        RelaxationProblem(MittagLeffler(order), rate=1.0, t_max=2.0, step=0.002)
     )
     print(
         f"t = {t:4.1f}: delta {delta.at(t):.6f} (exp {np.exp(-t):.6f})   "
@@ -35,7 +37,7 @@ print("step refinement, power-law kernel on [0, 2]:")
 print(f"{'h':>10} {'true error':>12} {'reported':>12}")
 for step in (0.02, 0.01, 0.005, 0.0025):
     solution = solve_relaxation(
-        RelaxationProblem(PowerLawKernel(order), rate=1.0, t_max=2.0, step=step)
+        RelaxationProblem(MittagLeffler(order), rate=1.0, t_max=2.0, step=step)
     )
     truth = ml_survival(order, solution.times)
     err = float(np.max(np.abs(solution.values - truth)))

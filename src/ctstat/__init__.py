@@ -5,8 +5,8 @@ of i.i.d. positive jumps observed at the events of a renewal stream,
 with exponential (memoryless) or Mittag-Leffler (heavy-tailed) waiting
 times.  Supporting layers: the one-parameter Mittag-Leffler function,
 count distributions of the stream, Laplace-domain symbols with numeric
-inversion, a memory-kernel relaxation solver whose power-law case
-reproduces the maximum's law, and a Monte Carlo harness that checks
+inversion, a relaxation solver whose kernel is the renewal density of a
+waiting law, and a Monte Carlo harness that checks
 the analytic results path by path.
 """
 
@@ -38,8 +38,6 @@ from .mc import (
     simulate_statistic,
 )
 from .relax import (
-    DeltaKernel,
-    PowerLawKernel,
     RelaxationProblem,
     RelaxationSolution,
     caputo_l1,
@@ -99,8 +97,6 @@ __all__ = [
     "ks_distance",
     "simulate_chain",
     "simulate_statistic",
-    "DeltaKernel",
-    "PowerLawKernel",
     "RelaxationProblem",
     "RelaxationSolution",
     "caputo_l1",

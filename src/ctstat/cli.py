@@ -40,9 +40,9 @@ from .laplace import (
     survival_symbol,
 )
 from .mc import SimulationPlan, _check_seed, build_ecdf, ks_distance, simulate_statistic
-from .relax import DeltaKernel, PowerLawKernel, RelaxationProblem, solve_relaxation
+from .relax import RelaxationProblem, solve_relaxation
 from .renewal import Exponential, MittagLeffler, counting_pmf, generate_epochs
-from .special import ml_one_param, ml_values
+from .special import ml_values
 from .stats import (
     DegenerateJumps,
     ExponentialJumps,
@@ -191,12 +191,7 @@ def _span(hi: float, points: int):
 
 def _cmd_ml(args) -> int:
     zs = _grid_from(args, "z", "zmin", "zmax")
-    values = np.empty_like(zs)
-    positive = zs > 0.0
-    # one vectorized call for z <= 0 (it rejects NaN); the series for z > 0
-    values[~positive] = ml_values(args.alpha, zs[~positive])
-    values[positive] = [ml_one_param(args.alpha, z).value for z in zs[positive]]
-    _emit_table(args, ("z", "ml_value"), (zs, values))
+    _emit_table(args, ("z", "ml_value"), (zs, ml_values(args.alpha, zs)))
     return _EXIT_OK
 
 
@@ -261,16 +256,12 @@ def _cmd_chain(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    if args.kernel == "delta":
-        kernel = DeltaKernel()
-    else:
-        if args.alpha is None:
-            raise DomainError("the power-law kernel needs --alpha")
-        kernel = PowerLawKernel(args.alpha)
-    problem = RelaxationProblem(
-        kernel=kernel, rate=args.c, t_max=args.tmax, step=args.h
-    )
-    sol = solve_relaxation(problem)
+    # the delta kernel is the renewal density of unit-rate exponential
+    # waits, the power-law kernel of order a that of Mittag-Leffler waits
+    if args.kernel == "powerlaw" and args.alpha is None:
+        raise DomainError("the power-law kernel needs --alpha")
+    waits = Exponential(1.0) if args.kernel == "delta" else MittagLeffler(args.alpha)
+    sol = solve_relaxation(RelaxationProblem(waits, rate=args.c, t_max=args.tmax, step=args.h))
     _emit_table(args, ("t", "Q", "est_error"), (sol.times, sol.values, sol.est_error))
     return _EXIT_OK
 

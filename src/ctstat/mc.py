@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DomainError
 from .renewal import _check_waiting_law, sample_waiting_time
-from .stats import StatisticKind, TransitionMatrix, _check_jump_law
+from .stats import StatisticKind, TransitionMatrix, _check_jump_law, _check_state
 
 __all__ = [
     "SimulationPlan",
@@ -135,8 +135,7 @@ def simulate_chain(
     """
     if not isinstance(q, TransitionMatrix):
         raise DomainError(f"q must be a TransitionMatrix, got {q!r}")
-    if not (0 <= start < q.n_states):
-        raise DomainError(f"start state {start} out of range")
+    _check_state(q, start)
     _check_waiting_law(ie_law)
     grid = np.asarray(t_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:

@@ -1,30 +1,30 @@
-"""Relaxation curves driven by a memory kernel.
+"""Relaxation curves driven by the renewal density of a waiting law.
 
-The decay of an observable Q with Q(0) = 1 is written as a Volterra
-equation of the second kind,
+The decay of an observable Q with Q(0) = 1 obeys the Volterra equation
 
     Q(t) = 1 - rate * int_0^t k(t - s) Q(s) ds,
 
-where k is the time-domain memory kernel.  A delta kernel gives plain
-exponential decay exp(-rate * t).  The power-law kernel of order a in
-(0, 1], k(u) = u^(a-1) / Gamma(a), turns the equation into the
-fractional relaxation problem whose solution is the Mittag-Leffler
-curve E_a(-rate * t^a); at a = 1 both kernels coincide.
+with k the renewal density of the waiting law (Laplace transform
+d/(1 - d), d that of the wait density).  Its solution is the law's
+count generating function, ``law.count_pgf(t, rate)`` = E (1 -
+rate)^N(t).  Exponential waits of rate r give the constant kernel r and
+the closed form exp(-r * rate * t).  Mittag-Leffler waits of order a
+give the power-law kernel u^(a-1) / Gamma(a) and E_a(-rate * t^a)
+(Beghin & Orsingher 2009); at a = 1 both coincide.
 
-The power-law path is solved numerically with an implicit product
-trapezoidal rule: on each step the kernel is integrated exactly against
-a piecewise linear interpolant of Q.  All steps together form one
-lower-triangular Toeplitz system, since the history weights depend only
-on the lag, and it is solved at once: the reciprocal of the system's
-first column as a power series (Newton doubling with FFT products),
-times the right-hand side.  That costs O(N log N) operations for N
-steps, where stepping through the history costs O(N^2), and gives the
-same values up to rounding.  The rule is unconditionally stable here
-(the diagonal is 1 + lam with lam > 0) and its accuracy self-reported:
-the solver reruns at half the step and charges twice the largest node
-difference to est_error.  Because the exact solution behaves like
-1 - rate * t^a / Gamma(1+a) near zero, the observed convergence order
-lands between 1 and 2 rather than at the smooth-case 2.
+Mittag-Leffler waits are solved on the grid, the paper's relation made
+checkable, by an implicit product trapezoidal rule: each step
+integrates the kernel exactly against a piecewise linear interpolant of
+Q.  All steps together form one lower-triangular Toeplitz system (the
+history weights depend only on the lag), solved at once as the power
+series reciprocal of its first column (Newton doubling with FFT
+products) times the right-hand side: O(N log N) operations for N steps,
+where stepping through the history costs O(N^2), with the same values
+up to rounding.  The rule is unconditionally stable (diagonal 1 + lam,
+lam > 0) and self-reporting: the solver reruns at half the step and
+charges twice the largest node difference to est_error.  Since the
+solution starts like 1 - rate * t^a / Gamma(1+a), the observed
+convergence order lies between 1 and 2, not at the smooth-case 2.
 
 caputo_l1 is the matching discrete form of the fractional derivative
 of order a (the L1 scheme): exact for affine data, first-kind check
@@ -41,10 +41,10 @@ import numpy as np
 from scipy.fft import next_fast_len
 
 from .errors import DomainError
+from .renewal import Exponential, WaitingLaw, _check_waiting_law, _positive
+from .special import _check_order
 
 __all__ = [
-    "DeltaKernel",
-    "PowerLawKernel",
     "RelaxationProblem",
     "RelaxationSolution",
     "solve_relaxation",
@@ -53,42 +53,21 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class DeltaKernel:
-    """Memoryless kernel; relaxation is exponential with the given rate."""
-
-
-@dataclass(frozen=True)
-class PowerLawKernel:
-    """Kernel u^(order-1) / Gamma(order) with order in (0, 1]."""
-
-    order: float
-
-    def __post_init__(self):
-        if not (0.0 < self.order <= 1.0):
-            raise DomainError(f"order must lie in (0, 1], got {self.order}")
-
-
-@dataclass(frozen=True)
 class RelaxationProblem:
-    """One relaxation run: kernel, coupling rate, horizon, and grid step
-    (fewer than 2^23 steps)."""
+    """One relaxation run: waiting law (its renewal density is the
+    kernel), coupling rate, horizon and grid step (fewer than 2^23 steps)."""
 
-    kernel: object
+    kernel: WaitingLaw
     rate: float = 1.0
     t_max: float = 1.0
     step: float = 0.01
 
     def __post_init__(self):
-        if not isinstance(self.kernel, (DeltaKernel, PowerLawKernel)):
-            raise DomainError(f"unsupported kernel: {self.kernel!r}")
-        if not (0.0 < self.rate < math.inf):
-            raise DomainError(f"rate must be positive and finite, got {self.rate}")
-        if not (0.0 < self.t_max < math.inf):
-            raise DomainError(f"t_max must be positive and finite, got {self.t_max}")
+        _check_waiting_law(self.kernel)
+        _positive("rate", self.rate)
+        _positive("t_max", self.t_max)
         if not (0.0 < self.step <= self.t_max):
-            raise DomainError(
-                f"step must lie in (0, t_max], got {self.step}"
-            )
+            raise DomainError(f"step must lie in (0, t_max], got {self.step}")
         # the check run at half the step keeps below 2^24 nodes (~1 GB)
         if self.t_max / self.step + 1e-9 >= 2**23:
             raise DomainError(f"t_max / step = {self.t_max / self.step:.3g}; "
@@ -101,8 +80,8 @@ class RelaxationSolution:
 
     ``times`` runs from 0 in steps of the requested size; ``values``
     holds Q on those nodes.  ``est_error`` bounds the largest absolute
-    node error (0 signals an exact closed form was used, reported in
-    ``method``).
+    node error; the closed form (``method`` "exact") reports 1e-15 for
+    its rounding.
     """
 
     times: np.ndarray
@@ -113,7 +92,7 @@ class RelaxationSolution:
     def at(self, t):
         """Linear interpolation of the curve inside the solved range."""
         t_arr = np.asarray(t, dtype=float)
-        if np.any(t_arr < 0.0) or np.any(t_arr > self.times[-1] * (1 + 1e-12)):
+        if not np.all((t_arr >= 0.0) & (t_arr <= self.times[-1] * (1 + 1e-12))):
             raise DomainError("query time outside the solved range")
         out = np.interp(t_arr, self.times, self.values)
         return float(out) if t_arr.ndim == 0 else out
@@ -184,16 +163,15 @@ def _solve_power_law(alpha: float, rate: float, times: np.ndarray, step: float):
 def solve_relaxation(problem: RelaxationProblem) -> RelaxationSolution:
     """Solve one relaxation problem on its grid.
 
-    Delta kernels use the closed form.  Power-law kernels solve the
-    product-trapezoidal rule twice, each as one Toeplitz solve in
-    O(N log N) operations for N steps, at the requested step and at
-    half of it, and report twice the largest disagreement on shared
-    nodes as est_error; the returned values are those of the requested
-    step, so refining the step refines the curve the caller sees.
+    Exponential waits take the closed form ``count_pgf``.  Mittag-Leffler
+    waits solve the product-trapezoidal rule at the requested step and at
+    half of it, each as one Toeplitz solve, and report twice the largest
+    disagreement on shared nodes as est_error; the values are those of
+    the requested step, so refining the step refines the curve returned.
     """
     times = _grid(problem.t_max, problem.step)
-    if isinstance(problem.kernel, DeltaKernel):
-        values = np.exp(-problem.rate * times)
+    if isinstance(problem.kernel, Exponential):
+        values = problem.kernel.count_pgf(times, problem.rate)
         return RelaxationSolution(times, values, 1e-15, "exact")
     alpha = problem.kernel.order
     coarse = _solve_power_law(alpha, problem.rate, times, problem.step)
@@ -217,12 +195,10 @@ def caputo_l1(values, order: float, index: int, step: float) -> float:
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1 or arr.size < 2:
         raise DomainError("values must be a 1-d array with at least two nodes")
-    if not (0.0 < order <= 1.0):
-        raise DomainError(f"order must lie in (0, 1], got {order}")
+    _check_order(order)
     if not (1 <= index < arr.size):
         raise DomainError(f"index must lie in [1, {arr.size - 1}], got {index}")
-    if not (0.0 < step < math.inf):
-        raise DomainError(f"step must be positive and finite, got {step}")
+    _positive("step", step)
     k = np.arange(index, dtype=float)
     shifted = k ** (1.0 - order)
     shifted[0] = 0.0  # 0^0 must read as 0 here so order = 1 degrades to a difference

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import gammainc, gammaln
 
 from .errors import AccuracyError, DomainError
-from .special import ml_survival, ml_values
+from .special import _check_order, ml_survival, ml_values
 
 __all__ = [
     "Exponential",
@@ -51,15 +51,21 @@ class WaitingLaw:
     Every law supplies ``sample(rng, size)``, the Laplace transforms
     ``density_lt(s)`` and ``survival_lt(s)`` of its density and survival
     function, and ``count_pgf(t, x) = E (1 - x)^N(t)``, the generating
-    function of the event count taken at ``z = 1 - x``.  Passing the
-    complement keeps ``x`` deep in a jump tail, where ``z`` would round
-    to one, from cancelling.
+    function of the event count taken at ``z = 1 - x``, for times ``t``
+    and arguments ``x`` that broadcast together.  Passing the complement
+    keeps ``x`` deep in a jump tail, where ``z`` would round to one, from
+    cancelling.
     """
 
 
 def _check_waiting_law(law) -> None:
     if not isinstance(law, WaitingLaw):
         raise DomainError(f"unsupported inter-event law: {law!r}")
+
+
+def _positive(name: str, value: float) -> None:
+    if not (0.0 < value < math.inf):
+        raise DomainError(f"{name} must be positive and finite, got {value}")
 
 
 def _check_rng(rng) -> None:
@@ -90,8 +96,7 @@ class Exponential(WaitingLaw):
     rate: float = 1.0
 
     def __post_init__(self):
-        if not (0.0 < self.rate < math.inf):
-            raise DomainError(f"rate must be positive and finite, got {self.rate}")
+        _positive("rate", self.rate)
 
     def survival(self, t):
         return np.exp(-self.rate * np.asarray(t, dtype=float))
@@ -108,7 +113,7 @@ class Exponential(WaitingLaw):
     def survival_lt(self, s):
         return 1.0 / (self.rate + s)
 
-    def count_pgf(self, t: float, x):
+    def count_pgf(self, t, x):
         """Poisson counts: exp(-rate * x * t)."""
         return np.exp(-self.rate * np.asarray(x, dtype=float) * t)
 
@@ -124,8 +129,7 @@ class MittagLeffler(WaitingLaw):
     order: float
 
     def __post_init__(self):
-        if not (0.0 < self.order <= 1.0):
-            raise DomainError(f"order must lie in (0, 1], got {self.order}")
+        _check_order(self.order)
 
     def survival(self, t):
         return ml_survival(self.order, t)
@@ -158,7 +162,7 @@ class MittagLeffler(WaitingLaw):
     def survival_lt(self, s):
         return s ** (self.order - 1.0) / (1.0 + s**self.order)
 
-    def count_pgf(self, t: float, x):
+    def count_pgf(self, t, x):
         """Fractional Poisson counts: E_a(-x * t^a) (Beghin & Orsingher 2009)."""
         return ml_values(self.order, -np.asarray(x, dtype=float) * t**self.order)
 

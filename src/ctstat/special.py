@@ -10,26 +10,27 @@ law used by the renewal and relaxation modules.
 
 Evaluation strategy
 -------------------
-* ``a == 1`` is special-cased to ``exp`` (exact at the classical
-  boundary).
-* Taylor series in double precision where its largest term
-  ``exp(x^(1/a))`` stays below ``e^9`` (``x <= 9^a``, with ``x = -z``)
-  and its running cancellation estimate meets the accuracy target.
-  For ``z > 0`` the series is the only route; each term is formed as
-  ``exp(n log z - lgamma(a*n + 1))`` so no power leaves double range
-  before the value does.
-* Everywhere else on ``z <= 0``, the Laplace pair
+Every route works on blocks of points; :func:`ml_one_param` is one
+point of :func:`ml_values`.
 
-      E_a(-x t^a)  <->  s^(a-1) / (s^a + x)
+* ``a == 1`` is ``exp`` (exact at the classical boundary); E_a(0) = 1.
+* One Taylor series serves every ``z > 0`` and the band
+  ``-9^a <= z < 0``, where its largest term ``exp(|z|^(1/a))`` stays
+  below ``e^9``.  Its terms come by a ratio recurrence, so no power of
+  ``z`` leaves double range before the value does, and every point
+  carries an estimate of its rounding and truncation.
+* Band points whose estimate exceeds 1e-11, and every ``z < -9^a``,
+  take the Laplace pair E_a(-x t^a) <-> s^(a-1) / (s^a + x), inverted
+  at t = 1 on the fixed Talbot contour (Abate & Valko 2004, IJNME
+  60:979): the 24-node value, with its gap to 16 nodes as the estimate.
+  This t-free form never forms ``x^(1/a)``, so it stays finite out to
+  the end of the double range, where E_a(-x) ~ 1 / (x Gamma(1 - a)).
 
-  inverted at ``t = 1`` on the fixed Talbot contour (Abate & Valko
-  2004, IJNME 60:979).  The 24-node value is returned and its gap to
-  the 16-node value is the error estimate.  This t-free form never
-  forms ``x^(1/a)``, so it stays finite out to the end of the double
-  range, where ``E_a(-x) ~ 1 / (x Gamma(1 - a))``.
-
-:func:`_talbot` is the one contour integrator of the package; the
-Talbot method of :func:`ctstat.laplace.invert` calls it as well.
+A point past its guarantee (1e-10 absolute for z <= 0, max(1e-11,
+1e-13 |E_a(z)|) for z > 0) raises AccuracyError with the best values
+and their estimates.  :func:`_talbot` is the one contour integrator of
+the package; the Talbot method of :func:`ctstat.laplace.invert` calls
+it as well.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import rgamma  # reciprocal gamma; 0 at the poles
 
 from .errors import AccuracyError, DomainError
 
@@ -52,6 +52,12 @@ _GUARANTEE = 1e-10
 # cancellation (max term ~ exp(x^(1/a)))
 _SERIES_PEAK_LIMIT = 9.0
 _SERIES_MAX_TERMS = 10_000
+# terms summed apart before they join the running sum, which keeps the
+# running sum's rounding in reach of the relative target for z > 0
+_SERIES_GROUP = 8
+# points per pass of the series and of the contour; the contour's work
+# arrays hold 24 complex nodes per point, about 3 MB a block
+_BLOCK = 8192
 # contour nodes; beyond 24 the exp(r*t) factor amplifies rounding faster
 # than the quadrature gains, and 16 nodes give the error estimate
 _TALBOT_NODES = 24
@@ -76,7 +82,7 @@ class MlEvaluation:
 
 def _check_order(alpha: float) -> None:
     if not (0.0 < alpha <= 1.0) or math.isnan(alpha):
-        raise DomainError(f"Mittag-Leffler order must lie in (0, 1], got {alpha}")
+        raise DomainError(f"order must lie in (0, 1], got {alpha}")
 
 
 @lru_cache(maxsize=4)
@@ -107,101 +113,125 @@ def _talbot(fn, t, m: int = _TALBOT_NODES):
     return (fn(r[..., None] * shape) @ weights).real * (r / m)
 
 
-def _ml_contour(alpha: float, x, m: int = _TALBOT_NODES):
-    """E_a(-x) as the inverse of s^(a-1)/(s^a + x) at t = 1."""
-    x = np.asarray(x, dtype=float)[..., None]
-    return _talbot(lambda s: s ** (alpha - 1.0) / (s**alpha + x), 1.0, m)
+def _contour(alpha: float, x: np.ndarray):
+    """E_a(-x) as the inverse of s^(a-1)/(s^a + x) at t = 1, _BLOCK
+    points per call, with the gap to 16 nodes (at least the 1e-11
+    target) as the estimate."""
+    values, ests = np.empty_like(x), np.empty_like(x)
+    for lo in range(0, x.size, _BLOCK):
+        part = slice(lo, lo + _BLOCK)
+
+        def symbol(s, xb=x[part, None]):
+            return s ** (alpha - 1.0) / (s**alpha + xb)
+
+        values[part] = _talbot(symbol, 1.0)
+        gap = np.abs(values[part] - _talbot(symbol, 1.0, _TALBOT_CHECK_NODES))
+        ests[part] = np.maximum(gap, _TARGET)
+    return values, ests
 
 
-def _series_double(alpha: float, z: float) -> tuple[float, int, float]:
-    """Plain Taylor series with exact summation of the computed terms.
+def _series(alpha: float, z: np.ndarray):
+    """Taylor sums of E_a at nonzero points z, _BLOCK points at a time.
 
-    Returns (value, terms, est_error); est_error tracks both the
-    truncation tail and the cancellation floor eps * sum|t_n|.  A term
-    or running sum past double range returns infinite value and
-    estimate; a sum still unsettled at the term cap, an infinite
-    estimate.
+    Returns (values, est_error, terms).  The terms t_n come by the ratio
+    t_n / t_(n-1) = z Gamma(a(n-1)+1) / Gamma(an+1), one scalar lgamma
+    per n, and join the running sum S in groups of _SERIES_GROUP.  The
+    estimate eps (4 sum|t_n| + 2 sum n|t_n|) + |t_N| covers the rounding
+    of the terms (the weighted sum for the rounding the recurrence
+    carries along) and the truncation; eps/2 ((_SERIES_GROUP - 1)
+    sum|t_n| + sum_g |S_g|) bounds the rounding of the group sums and of
+    S.  A block stops past its largest term (near n = |z|^(1/a) / a)
+    once every term is below 1e-18 max(|S|, 1); a point still above that
+    at the term cap gets an infinite estimate.
     """
-    log_x = math.log(abs(z))
-    alternating = z < 0.0
-    terms = [1.0]
-    abs_sum = 1.0
-    weighted_abs = 0.0  # sum n*|t_n|, drives the term rounding estimate
-    prev_mag = 1.0
-    n = 1
-    tail = math.inf
-    while n <= _SERIES_MAX_TERMS:
-        log_mag = n * log_x - math.lgamma(alpha * n + 1.0)
-        mag = math.exp(log_mag) if log_mag < _LOG_MAX else math.inf
-        abs_sum += mag
-        if abs_sum == math.inf:
-            return math.inf, n, math.inf
-        terms.append(-mag if alternating and n % 2 else mag)
-        weighted_abs += n * mag
-        partial_scale = max(abs(math.fsum(terms)), 1e-3) if mag < 1e-12 else 1.0
-        if mag <= 1e-18 * partial_scale and mag <= prev_mag:
-            tail = mag
-            break
-        prev_mag = mag
-        n += 1
-    value = math.fsum(terms)
-    # the weighted term stands for the rounding of the exponent
-    # n*log|z| - lgamma(a*n + 1), which grows with n
-    est = _EPS * (4.0 * abs_sum + 2.0 * weighted_abs) + tail
-    return value, n + 1, est
+    values, ests = np.empty_like(z), np.empty_like(z)
+    terms = np.empty(z.shape, dtype=int)
+    for lo in range(0, z.size, _BLOCK):
+        part = slice(lo, lo + _BLOCK)
+        zb = z[part]
+        term, total, abs_sum = np.ones_like(zb), np.ones_like(zb), np.ones_like(zb)
+        group, mag, work = np.empty_like(zb), np.empty_like(zb), np.empty_like(zb)
+        abs_acc, run_acc = np.zeros_like(zb), np.zeros_like(zb)
+        peak = float(np.abs(zb).max()) ** (1.0 / alpha) / alpha
+        lg_prev, n = 0.0, 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            while n < _SERIES_MAX_TERMS:
+                group.fill(0.0)
+                for _ in range(_SERIES_GROUP):
+                    n += 1
+                    lg = math.lgamma(alpha * n + 1.0)
+                    term *= zb
+                    term *= math.exp(lg_prev - lg)
+                    lg_prev = lg
+                    group += term
+                    abs_acc += abs_sum
+                    np.abs(term, out=mag)
+                    abs_sum += mag
+                total += group
+                np.abs(total, out=work)
+                run_acc += work
+                if n > peak and np.all(mag <= 1e-18 * np.maximum(work, 1.0)):
+                    break
+            # by parts, sum n|t_n| = n * abs_sum - abs_acc
+            est = _EPS * (4.0 * abs_sum + 2.0 * (n * abs_sum - abs_acc)) + mag
+            est += 0.5 * _EPS * ((_SERIES_GROUP - 1) * abs_sum + run_acc)
+        est[~(mag <= 1e-18 * np.maximum(work, 1.0)) | (work == np.inf)] = np.inf
+        values[part], ests[part], terms[part] = total, est, n + 1
+    return values, ests, terms
+
+
+def _evaluate(alpha: float, z: np.ndarray):
+    """Values, estimates, terms (or contour nodes) and contour flags of
+    E_a at the points of the 1-d array z, by the routes of the module
+    docstring."""
+    value, est = np.ones_like(z), np.zeros_like(z)
+    terms = np.ones(z.shape, dtype=int)
+    contour = np.zeros(z.shape, dtype=bool)
+    if alpha == 1.0:
+        np.exp(z, out=value)
+        est = 2.0 * _EPS * value
+    else:
+        lost = z > _LOG_MAX**alpha  # past exp(z^(1/a)) the value leaves double range
+        value[lost] = est[lost] = np.inf
+        series = (z != 0.0) & (z >= -(_SERIES_PEAK_LIMIT**alpha)) & ~lost
+        value[series], est[series], terms[series] = _series(alpha, z[series])
+        contour = (z < 0.0) & ~(series & (est <= _TARGET))
+        value[contour], est[contour] = _contour(alpha, -z[contour])
+        terms[contour] = _TALBOT_NODES
+    return value, est, terms, contour
+
+
+def _miss(alpha: float, z, value, est, contour) -> str:
+    """Why the first point past its guarantee misses it, or ''."""
+    limit = np.where(z > 0.0, np.maximum(_TARGET, 1e-13 * np.abs(value)), _GUARANTEE)
+    miss = ~(np.isfinite(value) & (est <= limit))
+    if not miss.any():
+        return ""
+    i = int(np.argmax(miss))
+    route = "contour" if contour[i] else "series"
+    return f"{route} for E_{alpha}({z[i]}) reached est_error={est[i]:.2e}"
 
 
 def ml_one_param(alpha: float, z: float) -> MlEvaluation:
-    """Evaluate the one-parameter Mittag-Leffler function E_a(z).
+    """E_a(z) at one real point with its route and estimate: one point
+    of :func:`ml_values`.
 
-    Parameters
-    ----------
-    alpha : order in (0, 1].
-    z : real argument.  For z <= 0 the estimated absolute error is at
-        most 1e-10; for z > 0 it is at most max(1e-11, 1e-13 * E_a(z)).
-
-    Raises
-    ------
-    DomainError
-        if alpha is outside (0, 1] or z is NaN.
-    AccuracyError
-        if the evaluation cannot meet its accuracy guarantee (carries the
-        best-effort value and its estimated error).
+    The order ``alpha`` lies in (0, 1].  For z <= 0 the estimated
+    absolute error is at most 1e-10; for z > 0 it is at most
+    max(1e-11, 1e-13 * E_a(z)).  Raises DomainError for an order outside
+    (0, 1] or a NaN argument, and AccuracyError, carrying the best value
+    and its estimate, when the guarantee cannot be met.
     """
     _check_order(alpha)
     if math.isnan(z):
         raise DomainError("argument must not be NaN")
-    if z == 0.0:
-        return MlEvaluation(1.0, 1, "series", 0.0)
-    if alpha == 1.0:
-        return MlEvaluation(math.exp(z), 1, "series", 2.0 * _EPS * math.exp(z))
-
-    if z > 0.0:
-        # convergent but growing series; no contour alternative here
-        value, terms, est = _series_double(alpha, z)
-        if not math.isfinite(value + est) or est > max(_TARGET, 1e-13 * abs(value)):
-            raise AccuracyError(
-                f"series for E_{alpha}({z}) reached est_error={est:.2e}",
-                value=value,
-                est_error=est,
-            )
-        return MlEvaluation(value, terms, "series", est)
-
-    x = -z
-    if x <= _SERIES_PEAK_LIMIT**alpha:
-        value, terms, est = _series_double(alpha, z)
-        if est <= _TARGET:
-            return MlEvaluation(value, terms, "series", est)
-
-    value = float(_ml_contour(alpha, x))
-    est = max(abs(value - _ml_contour(alpha, x, _TALBOT_CHECK_NODES)), _TARGET)
-    if est > _GUARANTEE:
-        raise AccuracyError(
-            f"contour for E_{alpha}({z}) reached est_error={est:.2e}",
-            value=value,
-            est_error=est,
-        )
-    return MlEvaluation(value, _TALBOT_NODES, "contour", est)
+    z_arr = np.array([float(z)])
+    value, est, terms, contour = _evaluate(alpha, z_arr)
+    message = _miss(alpha, z_arr, value, est, contour)
+    if message:
+        raise AccuracyError(message, value=float(value[0]), est_error=float(est[0]))
+    regime = "contour" if contour[0] else "series"
+    return MlEvaluation(float(value[0]), int(terms[0]), regime, float(est[0]))
 
 
 def ml_survival(alpha: float, t):
@@ -214,53 +244,27 @@ def ml_survival(alpha: float, t):
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0.0) or np.any(np.isnan(t_arr)):
         raise DomainError("time must be non-negative")
-    if t_arr.ndim == 0:
-        return ml_one_param(alpha, -float(t_arr) ** alpha).value
-    return ml_values(alpha, -(t_arr**alpha))
+    values = ml_values(alpha, -(t_arr**alpha))
+    return float(values[0]) if t_arr.ndim == 0 else values
 
 
 def ml_values(alpha: float, z) -> np.ndarray:
-    """Vectorized E_a over an array of non-positive arguments (values only).
+    """Vectorized E_a over an array of real arguments (values only).
 
-    Arguments in the series band (``-z <= 9^a``) are summed together in
-    a vectorized Taylor loop; the rest go through the contour in one
-    call.  Both stay within the 1e-10 absolute guarantee of
-    :func:`ml_one_param`.
+    Every point takes the route and meets the guarantee of
+    :func:`ml_one_param`.  Raises DomainError for NaN arguments and
+    AccuracyError, carrying every value and estimate, when a point
+    misses its guarantee.
     """
     _check_order(alpha)
     z_arr = np.atleast_1d(np.asarray(z, dtype=float))
-    if np.any(z_arr > 0.0) or np.any(np.isnan(z_arr)):
-        raise DomainError("ml_values expects non-positive arguments")
-    out = np.empty_like(z_arr)
-    if alpha == 1.0:
-        np.exp(z_arr, out=out)
-        return out
-
-    easy = -z_arr <= _SERIES_PEAK_LIMIT**alpha
-    if np.any(easy):
-        series = _series_vec(alpha, z_arr[easy])
-        if series is None:
-            easy[:] = False
-        else:
-            out[easy] = series
-    hard = ~easy
-    if np.any(hard):
-        out[hard] = _ml_contour(alpha, -z_arr[hard])
-    return out
-
-
-def _series_vec(alpha: float, z: np.ndarray) -> np.ndarray | None:
-    """Taylor sums of E_a at points of the series band, or None when the
-    terms have not settled below 1e-18 within the term cap (orders below
-    about 0.005)."""
-    total = np.ones_like(z)
-    power = np.ones_like(z)
-    # the terms grow up to n ~ x^(1/a)/a and shrink after it
-    n_min = float(-z.min()) ** (1.0 / alpha) / alpha + 5
-    for n in range(1, _SERIES_MAX_TERMS + 1):
-        power = power * z
-        t = power * rgamma(alpha * n + 1.0)
-        total += t
-        if n >= n_min and np.all(np.abs(t) <= 1e-18):
-            return total
-    return None
+    if np.any(np.isnan(z_arr)):
+        raise DomainError("argument must not be NaN")
+    flat = z_arr.ravel()
+    value, est, _, contour = _evaluate(alpha, flat)
+    message = _miss(alpha, flat, value, est, contour)
+    if message:
+        raise AccuracyError(
+            message, value=value.reshape(z_arr.shape), est_error=est.reshape(z_arr.shape)
+        )
+    return value.reshape(z_arr.shape)

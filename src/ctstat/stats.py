@@ -62,6 +62,7 @@ from .renewal import (
     MittagLeffler,
     _check_waiting_law,
     _draw,
+    _positive,
     counting_pmf,
 )
 
@@ -96,11 +97,6 @@ class StatisticKind(Enum):
 
     SUM = "sum"
     MAX = "max"
-
-
-def _positive(name: str, value: float) -> None:
-    if not (0.0 < value < math.inf):
-        raise DomainError(f"{name} must be positive and finite, got {value}")
 
 
 def _check_jump_law(jumps) -> None:
@@ -354,13 +350,17 @@ class TransitionMatrix:
         return self.matrix.shape[0]
 
     def is_absorbing(self, state: int) -> bool:
-        if not (0 <= state < self.n_states):
-            raise DomainError(f"state {state} out of range")
+        _check_state(self, state)
         return self.matrix[state, state] == 1.0
 
     def cumulative(self) -> np.ndarray:
         """Row-wise cumulative sums, for inverse-cdf state stepping."""
         return np.cumsum(self.matrix, axis=1)
+
+
+def _check_state(q: TransitionMatrix, state) -> None:
+    if not isinstance(state, (int, np.integer)) or not (0 <= state < q.n_states):
+        raise DomainError(f"state {state!r} out of range for {q.n_states} states")
 
 
 def mixture_cdf(kind: StatisticKind, jumps, waits, t: float, u, tol: float = 1e-8):
@@ -389,7 +389,11 @@ def mixture_cdf(kind: StatisticKind, jumps, waits, t: float, u, tol: float = 1e-
     _check_jump_law(jumps)
     _check_waiting_law(waits)
     if kind is StatisticKind.MAX:
-        return _max_mixture(jumps, waits, t, u)
+        # E F(w)^N(t) = waits.count_pgf(t, S(w)), with S the jump survival
+        w_arr, scalar = _nonnegative_array(u, "w")
+        sf = np.asarray(jumps.sf(np.atleast_1d(w_arr)), dtype=float)
+        out = np.clip(waits.count_pgf(t, sf), 0.0, 1.0)
+        return float(out[0]) if scalar else out.reshape(w_arr.shape)
     try:
         table = counting_pmf(waits, t, mass_target=1.0 - 0.25 * tol)
     except AccuracyError as exc:
@@ -398,14 +402,6 @@ def mixture_cdf(kind: StatisticKind, jumps, waits, t: float, u, tol: float = 1e-
         values, est = _sum_values(exc.value, exc.est_error, jumps, u_arr, tol)
         raise AccuracyError(str(exc), value=_cdf_out(values, scalar), est_error=est) from exc
     return _sum_mixture(table, jumps, u, tol)
-
-
-def _max_mixture(jumps, waits, t: float, w):
-    """E F(w)^N(t) = waits.count_pgf(t, S(w)), with S the jump survival."""
-    w_arr, scalar = _nonnegative_array(w, "w")
-    sf = np.asarray(jumps.sf(np.atleast_1d(w_arr)), dtype=float)
-    out = np.clip(waits.count_pgf(t, sf), 0.0, 1.0)
-    return float(out[0]) if scalar else out.reshape(w_arr.shape)
 
 
 def _cdf_out(values, scalar: bool):
@@ -557,7 +553,6 @@ def sum_cdf_series(jumps, rate: float, t: float, u, tol: float = 1e-8):
     law to the exponential one.  Scalar ``u`` gives a float, an array
     gives an array of the same shape.
     """
-    _positive("rate", rate)
     return mixture_cdf(StatisticKind.SUM, jumps, Exponential(rate), t, u, tol=tol)
 
 
@@ -572,11 +567,7 @@ def max_cdf(order: float, jumps, t: float, w):
     the jumps are unit-rate exponential.  An empty stream has maximum
     zero, hence the value at w = 0 is the probability of no events.
     """
-    waits = MittagLeffler(order)
-    if not (0.0 <= t < math.inf):
-        raise DomainError(f"time must be non-negative and finite, got {t}")
-    _check_jump_law(jumps)
-    return _max_mixture(jumps, waits, t, w)
+    return mixture_cdf(StatisticKind.MAX, jumps, MittagLeffler(order), t, w)
 
 
 def statistic_transform(kind: StatisticKind, jumps, w: float) -> float:
@@ -629,8 +620,7 @@ def semi_markov_marginal(q: TransitionMatrix, i: int, waits, t: float, tol: floa
     """
     if not isinstance(q, TransitionMatrix):
         raise DomainError(f"q must be a TransitionMatrix, got {q!r}")
-    if not isinstance(i, (int, np.integer)) or not (0 <= i < q.n_states):
-        raise DomainError(f"state i={i!r} out of range for {q.n_states} states")
+    _check_state(q, i)
     if not (0.0 <= t < math.inf):
         raise DomainError(f"time must be non-negative and finite, got {t}")
     if not (0.0 < tol < 1.0):

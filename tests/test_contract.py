@@ -19,7 +19,7 @@ from scipy.special import gammainc, gammaln
 
 from ctstat.errors import AccuracyError
 from ctstat.laplace import invert
-from ctstat.relax import PowerLawKernel, RelaxationProblem, solve_relaxation
+from ctstat.relax import RelaxationProblem, solve_relaxation
 from ctstat.renewal import Exponential, MittagLeffler, counting_pmf
 from ctstat.special import ml_one_param, ml_values
 from ctstat.stats import (
@@ -61,6 +61,43 @@ def test_ml_routes_meet_budget_and_estimate(bench_oracles):
             assert err < 1e-11, f"E_{alpha}(-{x}) off by {err:.2e} ({e.regime})"
             if e.regime == "contour":
                 assert e.est_error >= err, f"E_{alpha}(-{x}): est {e.est_error:.2e} < {err:.2e}"
+
+
+def _ml_series_mp(alpha, z):
+    """E_a(z) by its Taylor series in mpmath, 40 digits, to 1e-32."""
+    with mpmath.workdps(40):
+        a, z = mpmath.mpf(alpha), mpmath.mpf(z)
+        total, power, n = mpmath.mpf(1), mpmath.mpf(1), 0
+        peak = abs(float(z)) ** (1.0 / alpha) / alpha
+        while True:
+            n += 1
+            power *= z
+            term = power * mpmath.rgamma(a * n + 1)
+            total += term
+            if n > peak and abs(term) < mpmath.mpf(10) ** -32 * max(1, abs(total)):
+                return total
+
+
+def test_ml_series_estimate_covers_error():
+    # the one series, at random points of its band and of z > 0: every
+    # value, returned or carried by AccuracyError, lies within its
+    # estimate of the mpmath series
+    rng = np.random.default_rng(RNG_SEED + 2)
+    alphas = rng.uniform(0.05, 1.0, 160)
+    zs = np.where(np.arange(160) % 2 == 0, -rng.uniform(0.0, 9.0**alphas), rng.uniform(0.0, 20.0, 160))
+    covered = 0
+    for alpha, z in zip(alphas, zs):
+        try:
+            e = ml_one_param(alpha, z)
+            value, est = e.value, e.est_error
+        except AccuracyError as exc:
+            value, est = exc.value, exc.est_error
+        if not math.isfinite(value + est):
+            continue  # left double range
+        err = float(abs(mpmath.mpf(value) - _ml_series_mp(alpha, z)))
+        assert err <= est, f"E_{alpha}({z}): error {err:.2e} > est {est:.2e}"
+        covered += 1
+    assert covered > 120
 
 
 def test_talbot_inversion_closed_forms():
@@ -259,7 +296,7 @@ def test_irwin_hall_sums_meet_tol_or_raise():
 
 
 def _relaxation_gap(oracles, order, rate, t_max, step):
-    sol = solve_relaxation(RelaxationProblem(PowerLawKernel(order), rate=rate, t_max=t_max, step=step))
+    sol = solve_relaxation(RelaxationProblem(MittagLeffler(order), rate=rate, t_max=t_max, step=step))
     # 257 nodes spread over the curve, plus the first steps, where the
     # start-up error peaks
     n = sol.times.size - 1

@@ -24,7 +24,6 @@ from ctstat.laplace import (
     stehfest_weights,
     survival_symbol,
 )
-from ctstat.relax import PowerLawKernel
 from ctstat.renewal import Exponential, MittagLeffler
 from ctstat.special import ml_survival
 from ctstat.stats import ExponentialJumps
@@ -161,8 +160,8 @@ def test_counting_symbol_count_domain():
 
 
 def test_unsupported_law_rejected():
-    # jump laws and kernels carry a rate or an order but are no waiting laws
-    for law in (object(), ExponentialJumps(2.0), PowerLawKernel(0.5)):
+    # jump laws carry a rate but are no waiting laws
+    for law in (object(), ExponentialJumps(2.0)):
         with pytest.raises(DomainError):
             density_symbol(law)
 

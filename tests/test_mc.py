@@ -144,6 +144,18 @@ def test_chain_validation():
         simulate_chain(ABSORBING, 0, Exponential(1.0), [0.5], 0, 1)
 
 
+def test_chain_start_must_be_a_state_index():
+    # a fractional start used to run quietly from state 0; the chain
+    # simulator and the analytic marginal share one state check
+    for start in (0.5, 1.0, -1, 2, "0"):
+        with pytest.raises(DomainError):
+            simulate_chain(ABSORBING, start, Exponential(1.0), [0.5], 10, 1)
+        with pytest.raises(DomainError):
+            semi_markov_marginal(ABSORBING, start, Exponential(1.0), 0.5)
+    occ = simulate_chain(ABSORBING, np.int64(1), Exponential(1.0), [0.5], 10, 1)
+    assert occ[1, 0] == 1.0
+
+
 def test_chain_at_time_zero_is_exact():
     occ = simulate_chain(ABSORBING, 0, Exponential(1.0), [0.0], 500, 3)
     assert occ[0, 0] == 1.0

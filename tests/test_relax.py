@@ -7,14 +7,13 @@ import pytest
 
 from ctstat.errors import DomainError
 from ctstat.relax import (
-    DeltaKernel,
-    PowerLawKernel,
     RelaxationProblem,
     RelaxationSolution,
     caputo_l1,
     solve_relaxation,
 )
 from ctstat.relax import _solve_power_law
+from ctstat.renewal import Exponential, MittagLeffler
 from ctstat.special import ml_values
 
 # E_0.6(-1), checked against the spectral integral representation
@@ -57,20 +56,20 @@ def test_problem_validation():
     with pytest.raises(DomainError):
         RelaxationProblem(kernel="delta")
     with pytest.raises(DomainError):
-        RelaxationProblem(DeltaKernel(), rate=0.0)
+        RelaxationProblem(Exponential(1.0), rate=0.0)
     with pytest.raises(DomainError):
-        RelaxationProblem(DeltaKernel(), t_max=-1.0)
+        RelaxationProblem(Exponential(1.0), t_max=-1.0)
     with pytest.raises(DomainError):
-        RelaxationProblem(DeltaKernel(), t_max=1.0, step=2.0)
+        RelaxationProblem(Exponential(1.0), t_max=1.0, step=2.0)
     with pytest.raises(DomainError):
-        PowerLawKernel(0.0)
+        MittagLeffler(0.0)
     with pytest.raises(DomainError):
-        PowerLawKernel(1.2)
+        MittagLeffler(1.2)
 
 
 def test_problem_caps_the_grid_before_allocating():
     # construction only: a solve this large would take gigabytes
-    for kernel in (DeltaKernel(), PowerLawKernel(0.5)):
+    for kernel in (Exponential(1.0), MittagLeffler(0.5)):
         with pytest.raises(DomainError, match="2\\^24 nodes"):
             RelaxationProblem(kernel, t_max=1.0, step=1e-9)
         with pytest.raises(DomainError):
@@ -82,7 +81,7 @@ def test_problem_caps_the_grid_before_allocating():
 
 
 def test_delta_kernel_is_exponential():
-    prob = RelaxationProblem(DeltaKernel(), rate=1.0, t_max=5.0, step=0.01)
+    prob = RelaxationProblem(Exponential(1.0), rate=1.0, t_max=5.0, step=0.01)
     sol = solve_relaxation(prob)
     assert sol.method == "exact"
     assert sol.times[0] == 0.0
@@ -91,8 +90,29 @@ def test_delta_kernel_is_exponential():
     assert sol.est_error < 1e-12
 
 
+def test_exponential_waits_give_the_closed_form_bit_for_bit():
+    # the solution is the law's count generating function, exp(-c t)
+    # for unit-rate exponential waits, exactly as written
+    for c in (0.3, 1.0, 2.7):
+        sol = solve_relaxation(RelaxationProblem(Exponential(1.0), rate=c, t_max=3.0, step=0.01))
+        assert np.array_equal(sol.values, np.exp(-c * sol.times))
+        assert sol.method == "exact"
+        assert sol.est_error == 1e-15
+
+
+def test_sweep_estimate_covers_the_count_pgf():
+    # the Toeplitz sweep checks the paper's relation: its estimate covers
+    # its distance to E_a(-c t^a), the count generating function
+    for order in (0.5, 0.9):
+        waits = MittagLeffler(order)
+        for c in (0.4, 1.7):
+            sol = solve_relaxation(RelaxationProblem(waits, rate=c, t_max=2.0, step=2e-3))
+            err = float(np.max(np.abs(sol.values - waits.count_pgf(sol.times, c))))
+            assert 0.0 < err <= sol.est_error < 1e-2, f"order {order}, c {c}"
+
+
 def test_power_law_matches_mittag_leffler():
-    prob = RelaxationProblem(PowerLawKernel(0.6), rate=1.0, t_max=2.0, step=2e-3)
+    prob = RelaxationProblem(MittagLeffler(0.6), rate=1.0, t_max=2.0, step=2e-3)
     sol = solve_relaxation(prob)
     assert sol.method == "product_trapezoidal"
     ref = ml_values(0.6, -(sol.times**0.6))
@@ -108,7 +128,7 @@ def test_power_law_matches_mittag_leffler():
 
 def test_error_estimate_covers_truth_across_orders():
     for order, rate in ((0.3, 1.5), (0.8, 1.5), (1.0, 0.7)):
-        prob = RelaxationProblem(PowerLawKernel(order), rate=rate, t_max=2.0, step=2e-3)
+        prob = RelaxationProblem(MittagLeffler(order), rate=rate, t_max=2.0, step=2e-3)
         sol = solve_relaxation(prob)
         ref = ml_values(order, -rate * sol.times**order)
         err = float(np.max(np.abs(sol.values - ref)))
@@ -116,7 +136,7 @@ def test_error_estimate_covers_truth_across_orders():
 
 
 def test_power_law_order_one_is_exponential_limit():
-    prob = RelaxationProblem(PowerLawKernel(1.0), rate=2.0, t_max=2.0, step=2e-3)
+    prob = RelaxationProblem(MittagLeffler(1.0), rate=2.0, t_max=2.0, step=2e-3)
     sol = solve_relaxation(prob)
     assert np.max(np.abs(sol.values - np.exp(-2.0 * sol.times))) < 1e-5
 
@@ -124,7 +144,7 @@ def test_power_law_order_one_is_exponential_limit():
 def test_convergence_order_exceeds_one():
     errs = []
     for step in (4e-3, 2e-3):
-        prob = RelaxationProblem(PowerLawKernel(0.6), rate=1.0, t_max=2.0, step=step)
+        prob = RelaxationProblem(MittagLeffler(0.6), rate=1.0, t_max=2.0, step=step)
         sol = solve_relaxation(prob)
         ref = ml_values(0.6, -(sol.times**0.6))
         errs.append(float(np.max(np.abs(sol.values - ref))))
@@ -133,14 +153,14 @@ def test_convergence_order_exceeds_one():
 
 
 def test_grid_handles_non_divisible_horizon():
-    prob = RelaxationProblem(DeltaKernel(), rate=1.0, t_max=1.0, step=0.3)
+    prob = RelaxationProblem(Exponential(1.0), rate=1.0, t_max=1.0, step=0.3)
     sol = solve_relaxation(prob)
     assert np.allclose(sol.times, [0.0, 0.3, 0.6, 0.9])
 
 
 def test_solution_interpolation_bounds():
     sol = solve_relaxation(
-        RelaxationProblem(DeltaKernel(), rate=1.0, t_max=1.0, step=0.1)
+        RelaxationProblem(Exponential(1.0), rate=1.0, t_max=1.0, step=0.1)
     )
     assert sol.at(0.05) == pytest.approx(
         0.5 * (1.0 + math.exp(-0.1)), abs=1e-12
@@ -151,6 +171,10 @@ def test_solution_interpolation_bounds():
         sol.at(1.5)
     with pytest.raises(DomainError):
         sol.at(-0.1)
+    with pytest.raises(DomainError):
+        sol.at(float("nan"))
+    with pytest.raises(DomainError):
+        sol.at(np.array([0.5, np.nan]))
 
 
 def test_caputo_exact_on_affine_data():
@@ -176,7 +200,7 @@ def test_caputo_inverts_the_relaxation_operator():
     # away from the start-up region the solved curve must satisfy
     # D^a Q = -rate * Q under the matching discrete operator
     order, rate, step = 0.6, 1.0, 1e-3
-    prob = RelaxationProblem(PowerLawKernel(order), rate=rate, t_max=2.0, step=step)
+    prob = RelaxationProblem(MittagLeffler(order), rate=rate, t_max=2.0, step=step)
     sol = solve_relaxation(prob)
     worst = 0.0
     for i, t in enumerate(sol.times):

@@ -176,7 +176,30 @@ def test_argument_domain():
     with pytest.raises(DomainError):
         ml_survival(0.5, -0.5)
     with pytest.raises(DomainError):
-        ml_values(0.5, np.array([0.5]))
+        ml_values(0.5, np.array([-0.5, float("nan")]))
+
+
+def test_vector_positive_argument_half_order():
+    # ml_values takes positive z through the same series as ml_one_param:
+    # E_{1/2}(z) = exp(z^2) erfc(-z), and E_{1/2}(20) ~ 1e174 is past the
+    # series' relative accuracy
+    from scipy.special import erfc
+
+    z = np.array([0.5, 2.0, 10.0])
+    ref = np.exp(z * z) * erfc(-z)
+    assert np.max(np.abs(ml_values(0.5, z) / ref - 1.0)) < 2e-13
+    with pytest.raises(AccuracyError) as exc:
+        ml_values(0.5, np.array([-1.0, 20.0]))
+    assert exc.value.value.shape == (2,)
+    assert exc.value.est_error[1] > 1e-11
+
+
+def test_one_point_is_one_point_of_the_vector():
+    # ml_one_param is ml_values at one point, bit for bit, on every route
+    points = [(a, -x) for a, x, _ in SERIES_ORACLE + INTEGRAL_ORACLE]
+    points += [(0.5, 2.0), (0.5, 10.0), (0.3, 1.5), (0.7, 0.0), (1.0, -3.0), (0.02, -1e8)]
+    for alpha, z in points:
+        assert ml_one_param(alpha, z).value == ml_values(alpha, [z])[0], (alpha, z)
 
 
 def test_tiny_order_past_series_band(bench_oracles):

@@ -15,7 +15,7 @@ from scipy.special import gammainc
 import ctstat
 from ctstat.errors import AccuracyError, CapabilityError, DomainError
 from ctstat.laplace import invert, marginal_symbol
-from ctstat.relax import PowerLawKernel, RelaxationProblem, solve_relaxation
+from ctstat.relax import RelaxationProblem, solve_relaxation
 from ctstat.renewal import Exponential, MittagLeffler, counting_pmf
 from ctstat.special import ml_one_param
 from ctstat.stats import (
@@ -835,7 +835,7 @@ def test_max_cdf_matches_relaxation_solver():
     jumps = ExponentialJumps(1.0)
     w = 1.0
     problem = RelaxationProblem(
-        kernel=PowerLawKernel(order),
+        kernel=MittagLeffler(order),
         rate=float(jumps.sf(w)),
         t_max=2.0,
         step=1e-3,
