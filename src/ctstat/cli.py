@@ -11,21 +11,27 @@ Floats carry 12 significant digits, ints are written in full and bools
 as true/false.
 
 Exit codes: 0 on success, 2 for domain errors (bad arguments, laws, or
-flag combinations, such as ``--points`` below 1), 3 for numeric errors
-(a computation ran but missed its accuracy contract), 4 for I/O
-failures.  Failure diagnostics go to stderr.
+flag combinations, such as ``--points`` below 1 or a grid endpoint that
+is not finite), 3 for numeric errors (a computation ran but missed its
+accuracy contract), 4 for I/O failures.  Failure diagnostics go to
+stderr.
 
 Waiting-time laws are written ``exp:RATE`` or ``ml:ORDER``; the
 ``--alpha A`` shortcut stands for ``ml:A``.  Jump laws are written
 ``exp:RATE``, ``uniform:UPPER``, ``pareto:SCALE,EXPONENT`` or
 ``const:VALUE``.
+
+The argument parser is built once per process, on the first ``main``
+call, and every later call parses with that same instance.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
+import math
 import sys
 
 import numpy as np
@@ -177,16 +183,22 @@ def _grid_from(args, single_flag: str, lo_flag: str, hi_flag: str):
         raise DomainError(
             f"give --{single_flag}, or both --{lo_flag} and --{hi_flag}"
         )
+    for flag, value in ((lo_flag, lo), (hi_flag, hi)):
+        if not math.isfinite(value):
+            raise DomainError(f"--{flag} must be finite, got {value}")
     if args.points < 2 or hi <= lo:
         raise DomainError("a grid needs at least 2 points and an increasing range")
     return np.linspace(lo, hi, args.points)
 
 
-def _span(hi: float, points: int):
-    """--points evenly spaced nodes on [0, hi]."""
-    if points < 1:
-        raise DomainError(f"--points must be at least 1, got {points}")
-    return np.linspace(0.0, hi, points)
+def _span(args, hi_flag: str):
+    """--points evenly spaced nodes on [0, --<hi>]."""
+    hi = getattr(args, hi_flag)
+    if args.points < 1:
+        raise DomainError(f"--points must be at least 1, got {args.points}")
+    if not 0.0 <= hi < math.inf:
+        raise DomainError(f"--{hi_flag} must be non-negative and finite, got {hi}")
+    return np.linspace(0.0, hi, args.points)
 
 
 def _cmd_ml(args) -> int:
@@ -237,7 +249,7 @@ def _cmd_analytic(args) -> int:
     kind = StatisticKind(args.stat)
     jumps = _parse_jump_law(args.jumps)
     waits = _wait_law_from(args)
-    grid = _span(args.umax, args.points)
+    grid = _span(args, "umax")
     values = mixture_cdf(kind, jumps, waits, args.t, grid, tol=args.tol)
     _emit_table(args, ("u_or_w", "cdf_value"), (grid, values))
     return _EXIT_OK
@@ -246,7 +258,7 @@ def _cmd_analytic(args) -> int:
 def _cmd_chain(args) -> int:
     q = _parse_matrix(args.q)
     waits = _wait_law_from(args)
-    ts = _span(args.tmax, args.points)
+    ts = _span(args, "tmax")
     columns = ["t"] + [f"p_{args.start}{j}" for j in range(q.n_states)]
     marginals = np.array(
         [semi_markov_marginal(q, args.start, waits, t, tol=args.tol) for t in ts.tolist()]
@@ -415,10 +427,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args returns a new namespace and leaves the parser unchanged,
+    # so one instance serves every call.  set_defaults bound each _cmd_*
+    # function at build time; those look up _emit_table and _write when
+    # they run, so replacing either module name still takes effect.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse handles --help (0) and usage errors (2) itself
         return _EXIT_OK if not exc.code else _EXIT_DOMAIN

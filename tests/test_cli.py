@@ -5,11 +5,13 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ctstat import cli
 from ctstat.cli import main
 from ctstat.special import ml_survival
 
@@ -322,3 +324,66 @@ def test_solve_rejects_an_oversized_grid_before_solving(capsys):
     assert code == 2
     assert out == ""
     assert "2^24 nodes" in err
+
+
+_CHAIN = ["chain", "--q", "0,1;0,1", "--waits", "exp:1"]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (_CHAIN + ["--tmax", "-2", "--points", "3"], "--tmax"),
+        (_CHAIN + ["--tmax", "inf"], "--tmax"),
+        (["analytic", "--stat", "sum", "--jumps", "exp:1", "--waits", "exp:1",
+          "--t", "1", "--umax", "inf"], "--umax"),
+        (["ml", "--alpha", "0.5", "--zmin", "-1", "--zmax", "inf"], "--zmax"),
+        (["invert", "--symbol", "density", "--waits", "exp:1",
+          "--tmin", "0.1", "--tmax", "inf"], "--tmax"),
+    ],
+    ids=["chain_negative", "chain", "analytic", "ml", "invert"],
+)
+def test_bad_grid_endpoint_names_its_flag(capsys, argv, flag):
+    # a warning numpy raises is not turned into an error by the package's
+    # warning filter, so record every warning and look at stderr too
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert f"domain error: {flag} must be" in err
+    assert "RuntimeWarning" not in err
+    assert [str(w.message) for w in caught] == []
+
+
+def test_one_parser_per_process():
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
+
+
+def test_shared_parser_keeps_no_flags_between_calls(capsys):
+    base = ["ml", "--alpha", "1", "--z", "-1"]
+    code, out, _ = run(capsys, base + ["--seed", "5", "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["config"]["seed"] == 5
+    code, out, _ = run(capsys, base)
+    assert code == 0
+    config, columns, _ = parse_csv(out)
+    assert config["seed"] == 0
+    assert config["format"] == "csv"
+    assert columns == ["z", "ml_value"]
+
+
+def test_shared_parser_survives_usage_errors_and_help(capsys):
+    argv = _CHAIN + ["--tmax", "2", "--points", "5"]
+    code, first, _ = run(capsys, argv)
+    assert code == 0
+    code, out, err = run(capsys, argv + ["--points", "many"])
+    assert code == 2
+    assert out == ""
+    assert "usage: ctstat chain" in err
+    code, out, _ = run(capsys, ["chain", "--help"])
+    assert code == 0
+    assert "usage: ctstat chain" in out
+    code, second, _ = run(capsys, argv)
+    assert code == 0
+    assert second == first
