@@ -260,9 +260,7 @@ def _cmd_chain(args) -> int:
     waits = _wait_law_from(args)
     ts = _span(args, "tmax")
     columns = ["t"] + [f"p_{args.start}{j}" for j in range(q.n_states)]
-    marginals = np.array(
-        [semi_markov_marginal(q, args.start, waits, t, tol=args.tol) for t in ts.tolist()]
-    )
+    marginals = semi_markov_marginal(q, args.start, waits, ts, tol=args.tol)
     _emit_table(args, columns, (ts, *marginals.T))
     return _EXIT_OK
 

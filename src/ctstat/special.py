@@ -29,8 +29,8 @@ point of :func:`ml_values`.
 A point past its guarantee (1e-10 absolute for z <= 0, max(1e-11,
 1e-13 |E_a(z)|) for z > 0) raises AccuracyError with the best values
 and their estimates.  :func:`_talbot` is the one contour integrator of
-the package; the Talbot method of :func:`ctstat.laplace.invert` calls
-it as well.
+the package; the Talbot method of :func:`ctstat.laplace.invert` and the
+chain rows of :func:`ctstat.stats.semi_markov_marginal` call it as well.
 """
 
 from __future__ import annotations
@@ -219,12 +219,13 @@ def ml_one_param(alpha: float, z: float) -> MlEvaluation:
     The order ``alpha`` lies in (0, 1].  For z <= 0 the estimated
     absolute error is at most 1e-10; for z > 0 it is at most
     max(1e-11, 1e-13 * E_a(z)).  Raises DomainError for an order outside
-    (0, 1] or a NaN argument, and AccuracyError, carrying the best value
-    and its estimate, when the guarantee cannot be met.
+    (0, 1] or a NaN or +inf argument, and AccuracyError, carrying the
+    best value and its estimate, when the guarantee cannot be met (a
+    finite z whose value leaves double range is one such point).
     """
     _check_order(alpha)
-    if math.isnan(z):
-        raise DomainError("argument must not be NaN")
+    if math.isnan(z) or z == math.inf:
+        raise DomainError(f"argument must not be NaN or +inf, got {z}")
     z_arr = np.array([float(z)])
     value, est, terms, contour = _evaluate(alpha, z_arr)
     message = _miss(alpha, z_arr, value, est, contour)
@@ -252,14 +253,14 @@ def ml_values(alpha: float, z) -> np.ndarray:
     """Vectorized E_a over an array of real arguments (values only).
 
     Every point takes the route and meets the guarantee of
-    :func:`ml_one_param`.  Raises DomainError for NaN arguments and
-    AccuracyError, carrying every value and estimate, when a point
+    :func:`ml_one_param`.  Raises DomainError for NaN or +inf arguments
+    and AccuracyError, carrying every value and estimate, when a point
     misses its guarantee.
     """
     _check_order(alpha)
     z_arr = np.atleast_1d(np.asarray(z, dtype=float))
-    if np.any(np.isnan(z_arr)):
-        raise DomainError("argument must not be NaN")
+    if np.any(np.isnan(z_arr) | (z_arr == math.inf)):
+        raise DomainError("argument must not be NaN or +inf")
     flat = z_arr.ravel()
     value, est, _, contour = _evaluate(alpha, flat)
     message = _miss(alpha, flat, value, est, contour)

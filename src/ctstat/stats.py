@@ -42,7 +42,11 @@ them rather than approximated.
 
 Marginals of a finite-state chain whose state is redrawn at every
 event follow the same mixing pattern with powers of the transition
-matrix in place of convolution powers.
+matrix q in place of convolution powers.  With A = I - q the mixture
+closes into a matrix function, e_i E_a(-A t^a) for Mittag-Leffler
+waits and e_i exp(-rate t A) for exponential ones: the first is
+inverted from its matrix resolvent on the Talbot contour, every time
+at once, the second is scipy's matrix exponential.
 """
 
 from __future__ import annotations
@@ -65,6 +69,7 @@ from .renewal import (
     _positive,
     counting_pmf,
 )
+from .special import _TALBOT_CHECK_NODES, _TALBOT_NODES, _TARGET, _talbot
 
 __all__ = [
     "StatisticKind",
@@ -90,6 +95,10 @@ _CELLS_PER_PIECE = 64
 _LATTICE_MAX_CELLS = 1 << 19
 _PAD = 3
 _TILT = 20.0
+
+# complex matrix entries per block of chain solves (24 n x n matrices
+# per time), about 4 MB
+_CHAIN_BLOCK = 1 << 18
 
 
 class StatisticKind(Enum):
@@ -598,44 +607,134 @@ def _power_rows(matrix: np.ndarray, i: int, n: int) -> np.ndarray:
     return rows[:n]
 
 
-def semi_markov_marginal(q: TransitionMatrix, i: int, waits, t: float, tol: float = 1e-8) -> np.ndarray:
-    """Row i of the chain's transition law at time t: P(state at t = j |
-    started in i) for every state j, for a chain over ``q``.
+def _resolvent_rows(a_mat: np.ndarray, i: int, order: float, x: np.ndarray):
+    """Rows e_i E_a(-A x) at the points x = t^a, with their estimates.
 
-    The state changes only at stream events, stepping by one draw from
-    the transition matrix each time, so conditioning on the event count
-    gives
+    The row is the inverse of e_i s^(a-1) (s^a I + x A)^-1 at time one,
+    on the fixed Talbot contour; every point and node is one n x n
+    solve, batched over a block of points.  The estimate is the largest
+    gap to the 16-node value, at least the 1e-11 contour floor.
+    """
+    n = a_mat.shape[0]
+    rows, ests = np.empty((x.size, n)), np.empty(x.size)
+    e_i, a_t = np.eye(n)[i][:, None], a_mat.T
+    step = max(1, _CHAIN_BLOCK // (_TALBOT_NODES * n * n))
+    for lo in range(0, x.size, step):
+        part = slice(lo, lo + step)
 
-        p_ij(t) = sum_n pmf_n(t) * (q**n)_ij
+        def symbol(s, xb=x[part, None, None, None]):
+            # row e_i M^-1 is the transposed solve M^T y = e_i
+            mats = s[:, None, None] ** order * np.eye(n) + xb * a_t
+            y = np.linalg.solve(mats, e_i)[..., 0] * s[:, None] ** (order - 1.0)
+            return np.swapaxes(y, -1, -2)
 
-    with the n = 0 term the no-event survival times the indicator of
-    i == j.  The rows e_i q**n, n < len(table), come by power doubling,
-    one matrix product per doubling.  The count table is built to hold
-    all but half of ``tol`` of the mass; since every matrix power entry
-    is a probability, its uncovered mass bounds the truncation error of
-    each entry, and the row sums land within ``tol`` of one.  When the
-    table misses its mass gate, or cannot cover the mass to within
-    ``tol``, AccuracyError carries the row formed from the table it had
-    and the table's gap or uncovered mass.
+        rows[part] = _talbot(symbol, 1.0)
+        gap = np.abs(rows[part] - _talbot(symbol, 1.0, _TALBOT_CHECK_NODES)).max(axis=1)
+        ests[part] = np.maximum(gap, _TARGET)
+    return rows, ests
+
+
+def _expm_rows(a_mat: np.ndarray, i: int, rt: np.ndarray) -> np.ndarray:
+    """Rows e_i exp(-A rt) at the points rt = rate * t."""
+    from scipy.linalg import expm  # at module level it slows `import ctstat`
+
+    n = a_mat.shape[0]
+    rows = np.empty((rt.size, n))
+    step = max(1, _CHAIN_BLOCK // (n * n))
+    for lo in range(0, rt.size, step):
+        part = slice(lo, lo + step)
+        rows[part] = expm(-rt[part, None, None] * a_mat)[:, i, :]
+    return rows
+
+
+def _table_rows(q: TransitionMatrix, i: int, waits, ts: np.ndarray, tol: float):
+    """Rows sum_n pmf_n(t) e_i q**n from one count table per time, with
+    each table's uncovered mass (or its gap, when it misses its gate) as
+    the estimate, and the first reason to raise, or ''."""
+    rows, ests, message = np.empty((ts.size, q.n_states)), np.empty(ts.size), ""
+    for k, t in enumerate(ts.tolist()):
+        try:
+            table = counting_pmf(waits, t, mass_target=1.0 - 0.5 * tol)
+        except AccuracyError as exc:
+            rows[k] = exc.value @ _power_rows(q.matrix, i, exc.value.size)
+            ests[k] = exc.est_error
+            message = message or str(exc)
+            continue
+        rows[k] = table.probabilities @ _power_rows(q.matrix, i, len(table))
+        ests[k] = table.tail_bound
+        if ests[k] > tol and not message:
+            message = (
+                f"count table at t={t} leaves {ests[k]:.3e} mass uncovered, "
+                f"above tol={tol:.3e}"
+            )
+    return rows, ests, message
+
+
+def _in_resolvent_domain(a_mat: np.ndarray, order: float) -> bool:
+    """True when s^(a-1) (s^a I + x A)^-1 has no pole off the negative
+    real axis: every nonzero eigenvalue of A has |arg| <= (1 - a) pi.
+    Eigenvalues within 1e-9 of zero are the rounded zero eigenvalue of
+    the chain; a pole that small lies well inside the contour."""
+    lam = np.linalg.eigvals(a_mat)
+    lam = lam[np.abs(lam) > 1e-9]
+    return bool(np.all(np.abs(np.angle(lam)) <= (1.0 - order) * math.pi))
+
+
+def semi_markov_marginal(q: TransitionMatrix, i: int, waits, t, tol: float = 1e-8) -> np.ndarray:
+    """Row i of the chain's transition law at the times t: P(state at t
+    = j | started in i) for every state j, for a chain over ``q``.
+
+    ``t`` may be a scalar, giving one row of shape (n,), or an array,
+    giving one row per time (shape ``t.shape + (n,)``).  The state
+    changes only at stream events, stepping by one draw from the
+    transition matrix each time, so conditioning on the event count
+    gives p_ij(t) = sum_n pmf_n(t) * (q**n)_ij.  With A = I - q the sum
+    closes into a matrix function of A:
+
+    * Exponential waits, and Mittag-Leffler waits of order one: the row
+      is e_i exp(-rate t A), by scipy's matrix exponential.
+    * Mittag-Leffler waits of order a < 1: the row is e_i E_a(-A t^a),
+      the inverse at time one of e_i s^(a-1) (s^a I + t^a A)^-1 on the
+      fixed Talbot contour, every time and node one batched solve.  This
+      holds when every nonzero eigenvalue of A has |arg| <= (1 - a) pi,
+      as every real spectrum does; the estimate is the largest gap to
+      the 16-node value, at least 1e-11, and above ``tol`` AccuracyError
+      carries every row and every estimate.
+    * Outside that domain: one count table per time, holding all but
+      half of ``tol`` of the mass, summed against the rows e_i q**n by
+      power doubling.  Every matrix power entry is a probability, so the
+      uncovered mass bounds the error of each entry.  A table that misses
+      its mass gate, or cannot cover the mass to within ``tol``, raises
+      AccuracyError carrying every row and every table's gap or
+      uncovered mass.
     """
     if not isinstance(q, TransitionMatrix):
         raise DomainError(f"q must be a TransitionMatrix, got {q!r}")
     _check_state(q, i)
-    if not (0.0 <= t < math.inf):
-        raise DomainError(f"time must be non-negative and finite, got {t}")
     if not (0.0 < tol < 1.0):
         raise DomainError(f"tol must lie in (0, 1), got {tol}")
-    try:
-        table = counting_pmf(waits, t, mass_target=1.0 - 0.5 * tol)
-    except AccuracyError as exc:
-        row = exc.value @ _power_rows(q.matrix, i, exc.value.size)
-        raise AccuracyError(str(exc), value=row, est_error=exc.est_error) from exc
-    value = table.probabilities @ _power_rows(q.matrix, i, len(table))
-    if table.tail_bound > tol:
-        raise AccuracyError(
-            f"count table leaves {table.tail_bound:.3e} mass uncovered, "
-            f"above tol={tol:.3e}",
-            value=value,
-            est_error=table.tail_bound,
+    ts, scalar = _nonnegative_array(t, "time")
+    _check_waiting_law(waits)
+    flat, shape = ts.ravel(), ts.shape + (q.n_states,)
+    a_mat = np.eye(q.n_states) - q.matrix
+    order = waits.order if isinstance(waits, MittagLeffler) else None
+    if isinstance(waits, Exponential) or order == 1.0:
+        rows = _expm_rows(a_mat, i, getattr(waits, "rate", 1.0) * flat)
+        return rows.reshape(shape)
+    if order is not None and _in_resolvent_domain(a_mat, order):
+        rows, ests = _resolvent_rows(a_mat, i, order, flat**order)
+        rows[flat == 0.0] = np.eye(q.n_states)[i]  # no event yet, exactly
+        bad = np.flatnonzero(ests > tol)
+        message = "" if not bad.size else (
+            f"resolvent contour at t={flat[bad[0]]} reached est_error="
+            f"{ests[bad[0]]:.2e}, above tol={tol:.3e}"
         )
-    return value
+    else:
+        rows, ests, message = _table_rows(q, i, waits, flat, tol)
+    if message:
+        raise AccuracyError(
+            message,
+            value=rows.reshape(shape),
+            est_error=float(ests[0]) if scalar else ests.reshape(ts.shape),
+        )
+    return rows.reshape(shape)

@@ -98,6 +98,17 @@ def test_exit_codes(capsys):
     assert code == 2
 
 
+def test_ml_infinite_arguments(capsys):
+    # E_a(+inf) has no value: a domain error, not a missed budget;
+    # E_a(-inf) is the limit 0
+    code, _, err = run(capsys, ["ml", "--alpha", "0.5", "--z", "inf"])
+    assert code == 2
+    assert "domain error" in err
+    code, out, _ = run(capsys, ["ml", "--alpha", "0.5", "--z=-inf"])
+    assert code == 0
+    assert parse_csv(out)[2] == [["-inf", "0"]]
+
+
 def test_law_flag_validation(capsys):
     code, _, err = run(
         capsys,

@@ -1,12 +1,12 @@
-"""Contract of the contour routes, the sum laws and the relaxation
-solver: right within budget, or raise.
+"""Contract of the contour routes, the sum laws, the chain rows and the
+relaxation solver: right within budget, or raise.
 
 Every Mittag-Leffler value, every Talbot inversion, every count table
-of a Mittag-Leffler stream, every Erlang and Irwin-Hall sum law and
-every power-law relaxation curve is checked on a seeded grid against
-the benchmark's reference values (``perfbench/oracles.py``), which
-never call ctstat, against closed-form transform pairs, or against
-sums built here from ``gammainc`` and mpmath.
+of a Mittag-Leffler stream, every Erlang and Irwin-Hall sum law, every
+chain row and every power-law relaxation curve is checked on a seeded
+grid against the benchmark's reference values (``perfbench/oracles.py``),
+which never call ctstat, against closed-form transform pairs, or
+against sums built here from ``gammainc`` and mpmath.
 """
 
 import math
@@ -27,9 +27,14 @@ from ctstat.stats import (
     ExponentialJumps,
     ParetoJumps,
     StatisticKind,
+    TransitionMatrix,
     UniformJumps,
+    _in_resolvent_domain,
+    _power_rows,
+    _resolvent_rows,
     _sum_mixture,
     mixture_cdf,
+    semi_markov_marginal,
 )
 
 RNG_SEED = 20240601
@@ -293,6 +298,92 @@ def test_irwin_hall_sums_meet_tol_or_raise():
             UniformJumps(a), Exponential(lam), t, u, ref, tol, f"Irwin-Hall mu={mu:.3g}, upper {a:.3g}"
         )
     assert raised < 4
+
+
+def _chain_row_mp(q, i, alpha, t):
+    """Row e_i E_a(-A x) of a chain, A = I - q and x = t^a, by the matrix
+    series sum_n e_i (-A x)^n / Gamma(a n + 1) in mpmath, to 1e-32.  The
+    order is held as an mpf, and the precision is sized to the peak term,
+    about exp((x rho(A))^(1/a)): a fixed 30 digits is off by 1e88 at
+    t = 155."""
+    n = len(q)
+    a_mat = np.eye(n) - np.asarray(q)
+    rho = float(np.max(np.abs(np.linalg.eigvals(a_mat))))
+    peak = (t**alpha * rho) ** (1.0 / alpha)
+    with mpmath.workdps(int(40 + peak / math.log(10))):
+        a = mpmath.mpf(alpha)
+        x = mpmath.mpf(t) ** a
+        m = [[-x * mpmath.mpf(v) for v in row] for row in a_mat.tolist()]
+        power = [mpmath.mpf(int(j == i)) for j in range(n)]
+        total, k = list(power), 0
+        while True:
+            k += 1
+            power = [mpmath.fsum(power[l] * m[l][j] for l in range(n)) for j in range(n)]
+            terms = [p * mpmath.rgamma(a * k + 1) for p in power]
+            total = [s + u for s, u in zip(total, terms)]
+            if k > peak / alpha and max(abs(u) for u in terms) < mpmath.mpf(10) ** -32:
+                return np.array([float(s) for s in total])
+
+
+def _redraw_chain(rng, k):
+    """q = D^-1 W with W symmetric: a chain with a real spectrum."""
+    w = rng.uniform(0.0, 1.0, (k, k))
+    w += w.T
+    return w / w.sum(axis=1, keepdims=True)
+
+
+DEFECTIVE_CHAIN = [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.0, 0.0, 1.0]]
+
+
+def test_chain_rows_meet_tol_and_estimate_covers_error():
+    # the resolvent route: every row within its estimate of the series,
+    # and within tol or raised with every row; the defective chain has
+    # no eigenbasis, which the resolvent never forms
+    rng = np.random.default_rng(RNG_SEED + 5)
+    chains = [np.array(DEFECTIVE_CHAIN), _redraw_chain(rng, 2), _redraw_chain(rng, 3)]
+    ts, tol = np.array([0.5, 8.0, 60.0, 200.0]), 1e-8
+    for c, q in enumerate(chains):
+        a_mat = np.eye(len(q)) - q
+        for alpha in (0.5, 0.7, 0.9, 0.95):
+            i = int(rng.integers(len(q)))
+            assert _in_resolvent_domain(a_mat, alpha)
+            try:
+                rows = semi_markov_marginal(TransitionMatrix(q), i, MittagLeffler(alpha), ts, tol=tol)
+                raised = False
+            except AccuracyError as exc:
+                rows, raised = exc.value, True
+            best, est = _resolvent_rows(a_mat, i, alpha, ts**alpha)
+            assert np.array_equal(rows, best)
+            assert raised == bool(np.any(est > tol))
+            for t, row, e in zip(ts, rows, est):
+                err = float(np.max(np.abs(row - _chain_row_mp(q, i, alpha, t))))
+                assert err <= e, f"chain {c}, order {alpha}, t={t}: {err:.2e} > est {e:.2e}"
+
+
+def test_chain_row_that_count_tables_missed():
+    # at order 0.95 and t = 100 the count table misses unit mass; the
+    # resolvent row meets the default tol
+    q = [[0.3, 0.7], [0.6, 0.4]]
+    got = semi_markov_marginal(TransitionMatrix(q), 0, MittagLeffler(0.95), 100.0)
+    assert np.max(np.abs(got - _chain_row_mp(q, 0, 0.95, 100.0))) < 1e-10
+
+
+def test_chain_rows_outside_the_resolvent_domain_take_the_table_route():
+    # the cyclic permutation's A has eigenvalues 1 - exp(+-2 pi i / 3),
+    # at |arg| = pi/6, past (1 - 0.95) pi: one count table per time, each
+    # row within tol of the series or raised with every row
+    q = np.roll(np.eye(3), 1, axis=1)
+    assert not _in_resolvent_domain(np.eye(3) - q, 0.95)
+    ts, tol = np.array([2.0, 20.0, 150.0]), 1e-8
+    with pytest.raises(AccuracyError) as info:
+        semi_markov_marginal(TransitionMatrix(q), 0, MittagLeffler(0.95), ts, tol=tol)
+    rows, est = info.value.value, info.value.est_error
+    assert np.all(est[:2] <= tol) and est[2] > tol
+    for t, row in zip(ts[:2], rows[:2]):
+        table = counting_pmf(MittagLeffler(0.95), t, mass_target=1.0 - 0.5 * tol)
+        assert np.array_equal(row, table.probabilities @ _power_rows(q, 0, len(table)))
+        err = float(np.max(np.abs(row - _chain_row_mp(q, 0, 0.95, t))))
+        assert err <= tol, f"t={t}: {err:.2e}"
 
 
 def _relaxation_gap(oracles, order, rate, t_max, step):

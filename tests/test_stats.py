@@ -31,7 +31,7 @@ from ctstat.stats import (
     statistic_transform,
     sum_cdf_series,
 )
-from ctstat.stats import _lattice_mixture, _power_rows, _sum_mixture
+from ctstat.stats import _in_resolvent_domain, _lattice_mixture, _power_rows, _sum_mixture
 
 # Sum-statistic cdf for unit exponential waits and unit exponential
 # jumps at t = 2, from 60-digit numerical inversion of the compound
@@ -700,15 +700,24 @@ def test_power_ladder_matches_sequential_products():
 
 
 def test_semi_markov_marginal_matches_sequential_loop():
-    # random chains and waits against the per-count product loop over
-    # the same count table; both raise together
+    # random chains and waits, plus cyclic chains past the resolvent's
+    # domain, against the per-count product loop over the same count
+    # table.  Rows on the table route match that loop and raise with
+    # it; rows on the matrix routes lie within tol of every table that
+    # meets its gate
     rng = np.random.default_rng(20261021)
-    raised = 0
+    cases = []
     for case in range(40):
         k = int(rng.integers(2, 6))
         q = TransitionMatrix(_random_chain(rng, k, absorbing=case % 4 == 0))
         waits = MittagLeffler(rng.uniform(0.3, 1.0)) if case % 2 else Exponential(rng.uniform(0.2, 3.0))
-        t, i, tol = float(np.exp(rng.uniform(-3.0, math.log(200.0)))), int(rng.integers(k)), 1e-8
+        t, i = float(np.exp(rng.uniform(-3.0, math.log(200.0)))), int(rng.integers(k))
+        cases.append((q, i, waits, t))
+    for k in (3, 6):
+        cyclic = TransitionMatrix(np.roll(np.eye(k), 1, axis=1))
+        cases += [(cyclic, 1, MittagLeffler(a), t) for a in (0.9, 0.95) for t in (2.0, 150.0)]
+    tol, table_cases, raised = 1e-8, 0, 0
+    for case, (q, i, waits, t) in enumerate(cases):
         try:
             table = counting_pmf(waits, t, mass_target=1.0 - 0.5 * tol)
         except AccuracyError as exc:
@@ -716,6 +725,14 @@ def test_semi_markov_marginal_matches_sequential_loop():
         else:
             pmf, fails = table.probabilities, table.tail_bound > tol
         ref = pmf @ power_rows_reference(q.matrix, i, pmf.size)
+        order = getattr(waits, "order", 1.0)
+        if order == 1.0 or _in_resolvent_domain(np.eye(q.n_states) - q.matrix, order):
+            got = semi_markov_marginal(q, i, waits, t, tol=tol)
+            assert got.shape == (q.n_states,)
+            if not fails:
+                assert np.max(np.abs(got - ref)) < tol, f"case {case}"
+            continue
+        table_cases += 1
         try:
             got = semi_markov_marginal(q, i, waits, t, tol=tol)
             assert not fails
@@ -723,19 +740,34 @@ def test_semi_markov_marginal_matches_sequential_loop():
             assert fails
             got = exc.value
             raised += 1
-        assert got.shape == (k,)
+        assert got.shape == (q.n_states,)
         assert np.max(np.abs(got - ref)) < 1e-13, f"case {case}"
-    assert 0 < raised < 40
+    assert 0 < raised < table_cases
 
 
 def test_semi_markov_marginal_error_carries_the_row():
-    # the order-0.95 table misses its mass gate at t = 100; the error
-    # must carry the chain's row, not the count table
-    q = TransitionMatrix([[0.3, 0.7], [0.6, 0.4]])
+    # the cyclic chain lies outside the resolvent's domain at order
+    # 0.95, and its order-0.95 table misses its mass gate at t = 100;
+    # the error must carry the chain's row, not the count table
+    q = TransitionMatrix(np.roll(np.eye(3), 1, axis=1))
     with pytest.raises(AccuracyError) as info:
         semi_markov_marginal(q, 0, MittagLeffler(0.95), 100.0)
-    assert info.value.value.shape == (2,)
+    assert info.value.value.shape == (3,)
     assert info.value.est_error > 1e-8
+
+
+def test_semi_markov_marginal_takes_an_array_of_times():
+    # one row per time, each equal to its scalar call; no event has
+    # happened at t = 0, so that row is the start state exactly
+    q = TransitionMatrix([[0.2, 0.5, 0.3], [0.0, 0.4, 0.6], [0.5, 0.25, 0.25]])
+    ts = np.array([[0.0, 0.5], [3.0, 40.0]])
+    for waits in (Exponential(1.5), MittagLeffler(0.6)):
+        rows = semi_markov_marginal(q, 1, waits, ts)
+        assert rows.shape == (2, 2, 3)
+        assert np.array_equal(rows[0, 0], [0.0, 1.0, 0.0])
+        for t, row in zip(ts.ravel(), rows.reshape(-1, 3)):
+            assert np.max(np.abs(row - semi_markov_marginal(q, 1, waits, t))) < 1e-15
+        assert semi_markov_marginal(q, 0, waits, np.array([])).shape == (0, 3)
 
 
 def test_semi_markov_marginal_validation():
@@ -755,14 +787,13 @@ def test_semi_markov_marginal_validation():
         semi_markov_marginal(q, 0, waits, 1.0, tol=0.0)
 
 
-def test_semi_markov_marginal_raises_when_count_table_is_capped():
-    # Poisson(2e4) counts need more entries than the table cap allows;
-    # the uncovered mass must surface instead of a silent zero row
+def test_semi_markov_marginal_long_exponential_horizon_is_exact():
+    # Poisson(2e4) counts would overflow a count table; the matrix
+    # exponential needs none, and the coin-flip chain has forgotten its
+    # start long before t = 2e4
     q = TransitionMatrix([[0.5, 0.5], [0.5, 0.5]])
-    with pytest.raises(AccuracyError) as info:
-        semi_markov_marginal(q, 0, Exponential(1.0), 2e4)
-    assert info.value.est_error > 1e-8
-    assert info.value.value.shape == (2,)
+    got = semi_markov_marginal(q, 0, Exponential(1.0), 2e4)
+    assert np.max(np.abs(got - 0.5)) < 1e-13
 
 
 def test_mixture_cdf_max_trivial_and_against_closed_form():
@@ -867,10 +898,11 @@ def test_transition_matrix():
 def test_import_does_not_load_scipy_signal():
     # scipy.signal (with the scipy.stats it loads) would triple the
     # import time for one convolution; stats convolves on scipy.fft.
+    # scipy.linalg is loaded by the first chain with exponential waits.
     # mpmath is a test-only dependency: no route of the package uses it
     env = {**os.environ, "PYTHONPATH": str(Path(ctstat.__file__).parents[1])}
-    code = "import sys, ctstat; print('scipy.signal' in sys.modules, 'mpmath' in sys.modules)"
+    code = "import sys, ctstat; print(*(m in sys.modules for m in ('scipy.signal', 'scipy.linalg', 'mpmath')))"
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False False"
+    assert out.stdout.strip() == "False False False"
